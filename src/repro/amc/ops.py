@@ -52,11 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.amc.config import HardwareConfig
-from repro.circuits.dynamics import (
-    inv_eigenvalue_margin,
-    inv_settling_time,
-    mvm_settling_time,
-)
+from repro.circuits.dynamics import inv_settling_time, mvm_settling_time
 from repro.circuits.generators import build_inv_circuit, build_mvm_circuit
 from repro.circuits.mna import assemble_mna
 from repro.core.common import (
@@ -333,7 +329,7 @@ class AMCOperations:
 
         raw = self._add_output_noise(raw, rng)
         output, saturated = self._saturate(raw)
-        settle = self._inv_settle(effective)
+        settle = self._inv_settle(array)
         return OpResult(
             kind="inv",
             label=label,
@@ -347,17 +343,18 @@ class AMCOperations:
             device_count=array.device_count,
         )
 
-    def _inv_settle(self, effective: np.ndarray) -> float:
+    def _inv_settle(self, array: CrossbarArray) -> float:
         """Settling estimate; unstable circuits report infinite time.
 
-        The eigenvalue margin is computed once and shared between the
-        stability check and the settling formula (one ``eigvals`` call
-        per operation, not two).
+        The eigenvalue margin is cached on the array per parasitic
+        configuration (:meth:`CrossbarArray.inv_margin`), so repeated INV
+        operations and gain-ranging reruns on one programmed array share
+        one ``eigvals`` call.
         """
-        margin = inv_eigenvalue_margin(effective)
+        margin = array.inv_margin(self.config.parasitics)
         if margin <= 0.0:
             return math.inf
-        return inv_settling_time(effective, self.config.opamp.gbwp_hz, margin=margin)
+        return inv_settling_time(None, self.config.opamp.gbwp_hz, margin=margin)
 
     def _inv_mna(
         self,

@@ -17,13 +17,21 @@ Model sketch (single-pole op-amp with unity-gain bandwidth ``f_GBW``):
   (2 pi f_GBW)`` where ``lambda_min`` is the smallest eigenvalue real part
   of the normalized matrix; the circuit is stable only if every
   eigenvalue has positive real part.
+
+Every eigenvalue margin — one matrix or a stack of trials — comes from
+:func:`inv_eigenvalue_margins`, which runs ``eigvals`` with NumPy's
+OpenBLAS held at one thread (:mod:`repro.utils.blas`). ``eigvals`` bits
+depend on the BLAS thread count at n >= 256, so a margin computed any
+other way would differ between hosts, and between the scalar and the
+trial-batched engines.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConvergenceError
+from repro.errors import ConvergenceError, ValidationError
+from repro.utils.blas import map_chunks, single_blas_thread
 from repro.utils.validation import check_matrix, check_positive, check_square_matrix
 
 #: Default settling accuracy target (fraction of final value).
@@ -60,15 +68,54 @@ def mvm_settling_time(
     return float(np.log(1.0 / epsilon) * tau)
 
 
+def _min_real_eigenvalues(stack: np.ndarray) -> np.ndarray:
+    return np.min(np.linalg.eigvals(stack).real, axis=1)
+
+
+def inv_eigenvalue_margins(stack: np.ndarray) -> np.ndarray:
+    """Per-slice :func:`inv_eigenvalue_margin` of a ``(T, n, n)`` stack.
+
+    ``eigvals`` runs with NumPy's OpenBLAS at one thread, the stack split
+    into contiguous trial chunks across the usable CPUs
+    (:func:`repro.utils.blas.map_chunks`). A slice's margin is the same
+    bits under any chunking and on any host. Without the pin (no
+    bundled OpenBLAS found) the stack goes through one ``eigvals`` call,
+    as splitting alone only adds overhead.
+    """
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValidationError(
+            f"expected a (T, n, n) stack of square matrices, got {stack.shape}"
+        )
+    with single_blas_thread() as pinned:
+        if not pinned:
+            return _min_real_eigenvalues(stack)
+        return np.concatenate(map_chunks(_min_real_eigenvalues, stack))
+
+
 def inv_eigenvalue_margin(matrix: np.ndarray) -> float:
     """Smallest real part among the eigenvalues of the normalized matrix.
 
     Positive margin means the INV feedback loop has a stable equilibrium
     (all poles in the left half-plane for the single-pole op-amp model).
+    The one-slice case of :func:`inv_eigenvalue_margins`.
     """
     matrix = check_square_matrix(matrix)
-    eigenvalues = np.linalg.eigvals(matrix)
-    return float(np.min(eigenvalues.real))
+    return float(inv_eigenvalue_margins(matrix[None])[0])
+
+
+def inv_settling_times(
+    margins: np.ndarray, gbwp_hz: float, epsilon: float = DEFAULT_EPSILON
+) -> np.ndarray:
+    """INV settling times (seconds) for an array of eigenvalue margins.
+
+    The elementwise form of :func:`inv_settling_time`: an unstable slice
+    (margin <= 0) reports an infinite time instead of raising.
+    """
+    margins = np.asarray(margins, dtype=float)
+    with np.errstate(divide="ignore"):
+        tau = (1.0 + 1.0 / margins) / (2.0 * np.pi * gbwp_hz)
+    return np.where(margins <= 0.0, np.inf, np.log(1.0 / epsilon) * tau)
 
 
 def is_inv_stable(matrix: np.ndarray, margin: float = 0.0) -> bool:
@@ -77,7 +124,7 @@ def is_inv_stable(matrix: np.ndarray, margin: float = 0.0) -> bool:
 
 
 def inv_settling_time(
-    matrix: np.ndarray,
+    matrix: np.ndarray | None,
     gbwp_hz: float,
     epsilon: float = DEFAULT_EPSILON,
     *,
@@ -90,7 +137,7 @@ def inv_settling_time(
     margin:
         Precomputed :func:`inv_eigenvalue_margin` of ``matrix``; pass it
         when the caller already ran the stability check so the (dominant)
-        ``eigvals`` call is not repeated.
+        ``eigvals`` call is not repeated. ``matrix`` may then be ``None``.
 
     Raises
     ------

@@ -8,7 +8,10 @@ module stacks all trials of one size into ``(trials, n, n)`` tensors and
 runs the *entire* pipeline — normalization, Schur preprocessing,
 programming variation, the five-step schedule with gain ranging,
 converter quantization, settling-time eigenvalue analysis, and the
-digital reference solve — through NumPy's batched linalg.
+digital reference solve — through NumPy's batched linalg. The
+eigenvalue analysis goes through
+:func:`repro.circuits.dynamics.inv_eigenvalue_margins`, which pins
+NumPy's OpenBLAS at one thread and splits the stack across CPUs.
 
 Equivalence contract (enforced by tests):
 
@@ -41,7 +44,11 @@ import numpy as np
 
 from repro.amc.config import HardwareConfig
 from repro.amc.interfaces import quantize_voltages
-from repro.circuits.dynamics import DEFAULT_EPSILON
+from repro.circuits.dynamics import (
+    DEFAULT_EPSILON,
+    inv_eigenvalue_margins,
+    inv_settling_times,
+)
 from repro.core.blockamc import BlockAMCSolver
 from repro.core.common import (
     auto_range_many,
@@ -219,12 +226,13 @@ class _ArrayBatch:
         return np.log(1.0 / DEFAULT_EPSILON) * tau
 
     def inv_settle(self) -> np.ndarray:
-        """Batched INV settling times (one stacked ``eigvals`` call)."""
-        gbwp = self.config.opamp.gbwp_hz
-        margins = np.min(np.linalg.eigvals(self._settle_effective).real, axis=1)
-        with np.errstate(divide="ignore"):
-            tau = (1.0 + 1.0 / margins) / (2.0 * np.pi * gbwp)
-        return np.where(margins <= 0.0, np.inf, np.log(1.0 / DEFAULT_EPSILON) * tau)
+        """Batched INV settling times (pinned, trial-split ``eigvals``).
+
+        The margins come from the same helper the scalar path uses, so
+        each trial's time is bit-identical to its scalar INV op's.
+        """
+        margins = inv_eigenvalue_margins(self._settle_effective)
+        return inv_settling_times(margins, self.config.opamp.gbwp_hz)
 
 
 #: The converter model is shape-generic; reuse the single implementation

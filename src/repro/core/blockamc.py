@@ -155,11 +155,11 @@ class BatchedFiveStep:
         self.snh_error = config.sample_hold.gain_error
         gbwp = config.opamp.gbwp_hz
         self.settle = {
-            1: ops._inv_settle(self.eff1),
+            1: ops._inv_settle(a1),
             2: mvm_settling_time(
                 np.asarray(a3.g_pos) + np.asarray(a3.g_neg), a3.g_unit, gbwp
             ),
-            3: ops._inv_settle(self.eff4),
+            3: ops._inv_settle(a4s),
             4: mvm_settling_time(
                 np.asarray(a2.g_pos) + np.asarray(a2.g_neg), a2.g_unit, gbwp
             ),

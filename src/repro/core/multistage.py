@@ -415,7 +415,7 @@ class _DirectInvNode:
                     inv_system(bk.cast(effective), loading, config.opamp.open_loop_gain)
                 ),
                 self.ops._ideal_matrix(self.array),
-                self.ops._inv_settle(effective),
+                self.ops._inv_settle(self.array),
             )
         offsets, loading, fact, ideal_matrix, settle = self._batch_state
 

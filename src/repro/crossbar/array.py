@@ -102,6 +102,7 @@ class CrossbarArray:
         self._scale = float(scale)
         self._target = target
         self._effective_cache: dict[ParasiticConfig, np.ndarray] = {}
+        self._margin_cache: dict[ParasiticConfig, float] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -186,14 +187,34 @@ class CrossbarArray:
         ideal programming and no wires this equals the normalized target
         matrix exactly. Results are cached per parasitic configuration.
         """
-        parasitics = parasitics or ParasiticConfig.ideal()
+        return self._effective(parasitics or ParasiticConfig.ideal()).copy()
+
+    def _effective(self, parasitics: ParasiticConfig) -> np.ndarray:
         cached = self._effective_cache.get(parasitics)
         if cached is None:
             eff_pos = effective_conductance_matrix(self._g_pos, parasitics)
             eff_neg = effective_conductance_matrix(self._g_neg, parasitics)
             cached = (eff_pos - eff_neg) / self._g_unit
             self._effective_cache[parasitics] = cached
-        return cached.copy()
+        return cached
+
+    def inv_margin(self, parasitics: ParasiticConfig | None = None) -> float:
+        """INV stability margin of the effective matrix (cached per config).
+
+        :func:`repro.circuits.dynamics.inv_eigenvalue_margin` of
+        :meth:`effective_matrix` — the programmed array is fixed, so
+        every INV operation on it (and every gain-ranging rerun) shares
+        one ``eigvals`` call.
+        """
+        parasitics = parasitics or ParasiticConfig.ideal()
+        margin = self._margin_cache.get(parasitics)
+        if margin is None:
+            # Deferred: repro.circuits imports this module (transient).
+            from repro.circuits.dynamics import inv_eigenvalue_margin
+
+            margin = inv_eigenvalue_margin(self._effective(parasitics))
+            self._margin_cache[parasitics] = margin
+        return margin
 
     def load_row_sums(self) -> np.ndarray:
         """Total normalized conductance loading each WL (for finite gain).

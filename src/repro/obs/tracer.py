@@ -39,7 +39,12 @@ span for human-readable correlation.
 Worker processes call :func:`configure` themselves (a fresh tracer with
 its own lock and its own ``spans-<pid>.jsonl``); forked children that
 merely inherit an enabled tracer get a fresh output file automatically
-— the writer reopens whenever ``os.getpid()`` changes.
+— the writer reopens whenever ``os.getpid()`` changes. A fork waits
+for the active tracer's lock and releases it on both sides: a child
+forked while another thread was writing a span would otherwise inherit
+that lock — and the output file's own buffer lock — held forever, and
+hang on its first span or inside :func:`configure`, which closes the
+inherited file.
 """
 
 from __future__ import annotations
@@ -456,6 +461,32 @@ _ACTIVE = DISABLED_TRACER
 
 #: Pid that configured the active tracer (fork detection for workers).
 _ACTIVE_PID: int | None = None
+
+
+#: The tracer lock held across an in-progress fork (see module docs).
+_FORK_LOCK: threading.Lock | None = None
+
+
+def _hold_lock_for_fork() -> None:
+    global _FORK_LOCK
+    if _ACTIVE.enabled:
+        _FORK_LOCK = _ACTIVE._lock
+        _FORK_LOCK.acquire()
+
+
+def _release_lock_after_fork() -> None:
+    global _FORK_LOCK
+    if _FORK_LOCK is not None:
+        _FORK_LOCK.release()
+        _FORK_LOCK = None
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only
+    os.register_at_fork(
+        before=_hold_lock_for_fork,
+        after_in_parent=_release_lock_after_fork,
+        after_in_child=_release_lock_after_fork,
+    )
 
 
 def active():

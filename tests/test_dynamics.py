@@ -6,6 +6,7 @@ import pytest
 from repro.circuits.dynamics import (
     inv_eigenvalue_margin,
     inv_settling_time,
+    inv_settling_times,
     is_inv_stable,
     mvm_settling_time,
 )
@@ -64,3 +65,11 @@ class TestINVSettling:
     def test_unstable_raises(self):
         with pytest.raises(ConvergenceError, match="unstable"):
             inv_settling_time(-np.eye(2), 100e6)
+
+    def test_elementwise_form_matches_scalar_bitwise(self):
+        matrices = [np.diag([0.3, 1.0]), np.eye(2), -np.eye(2), np.diag([0.0, 1.0])]
+        margins = np.array([inv_eigenvalue_margin(m) for m in matrices])
+        times = inv_settling_times(margins, 100e6)
+        assert times[0] == inv_settling_time(matrices[0], 100e6)
+        assert times[1] == inv_settling_time(None, 100e6, margin=margins[1])
+        assert np.isinf(times[2]) and np.isinf(times[3])

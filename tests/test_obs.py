@@ -22,19 +22,25 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
 import os
+import signal
+import threading
+import time
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.errors import ServeError
+from repro.errors import ServeError, ShardFailedError
 from repro.obs import report
 from repro.obs import tracer as obs
 from repro.serve import ServiceConfig, SolverService, run_sequential
 from repro.serve.cache import CacheStats
 from repro.serve.metrics import MetricsRecorder, ServiceMetrics
 from repro.serve.net import NetClient, NetServer, NetServerConfig
+from repro.serve.net.workers import ProcessWorkerPool
 from repro.testing.chaos import CHAOS_ENV, ChaosPlan
 from repro.workloads.traffic import drive_network, mixed_traffic
 
@@ -508,6 +514,102 @@ class TestNetTracing:
         successes = sum(1 for o in outcomes if not isinstance(o, Exception))
         assert successes >= 1
         assert len(complete) >= successes
+
+
+
+def _hold_tracer_lock(release: threading.Event, held: threading.Event, hold_s: float):
+    """A thread stuck mid-span-write: holds the tracer lock until told."""
+    lock = obs.active()._lock
+
+    def run():
+        with lock:
+            held.set()
+            release.wait(hold_s)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    held.wait(5.0)
+    return thread
+
+
+def _configure_and_record(trace_dir: str) -> None:
+    obs.configure(trace_dir=trace_dir)
+    obs.active().start_span("child").end()
+
+
+class TestForkSafety:
+    """A fork taken while another thread writes a span must not leave
+    the child holding the tracer (or its file's buffer) lock forever."""
+
+    def test_child_forked_mid_span_write_runs(self, tmp_path):
+        obs.configure(trace_dir=str(tmp_path))
+        obs.active().start_span("parent").end()  # the span file is open
+        release, held = threading.Event(), threading.Event()
+        holder = _hold_tracer_lock(release, held, hold_s=0.3)
+        child = multiprocessing.get_context("fork").Process(
+            target=_configure_and_record, args=(str(tmp_path),)
+        )
+        child.start()
+        holder.join(5.0)
+        child.join(20.0)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("forked child hung on the inherited tracer lock")
+        assert child.exitcode == 0
+        names = {s["name"] for s in report.read_spans(tmp_path)}
+        assert {"parent", "child"} <= names
+
+    def test_worker_restart_while_tracer_busy_resolves_tickets(self, tmp_path):
+        """Kill a traced worker while a server thread holds the tracer
+        lock: the restart must still serve, and every ticket resolves."""
+        obs.configure(trace_dir=str(tmp_path))
+        request = mixed_traffic(1, unique_matrices=1, sizes=(12,), seed=4)[0]
+        config = ServiceConfig(workers=1, max_batch_size=4, trace_dir=str(tmp_path))
+        ids = iter(range(1_000_000))
+
+        def submit(pool) -> Future:
+            done: Future = Future()
+            pool.submit(
+                request_id=next(ids),
+                digest=request.digest,
+                b=request.b,
+                matrix=request.matrix,
+                solver=request.solver,
+                prep_seed=request.prep_seed,
+                seed=request.seed,
+                deadline_at=None,
+                callback=done.set_result,
+            )
+            return done
+
+        with ProcessWorkerPool(config) as pool:
+            assert submit(pool).result(60.0).ok
+            shard = pool._shards[0]
+            old = shard.process
+            release, held = threading.Event(), threading.Event()
+            holder = _hold_tracer_lock(release, held, hold_s=1.0)
+            os.kill(old.pid, signal.SIGKILL)
+            # Release as soon as the restart has forked (its pid exists),
+            # or after 1 s when the fork itself waits for the lock.
+            deadline = time.monotonic() + 1.0
+            while time.monotonic() < deadline and (
+                shard.process is old or shard.process.pid is None
+            ):
+                time.sleep(0.01)
+            release.set()
+            holder.join(5.0)
+            outcome = None
+            deadline = time.monotonic() + 60.0
+            while outcome is None and time.monotonic() < deadline:
+                try:
+                    ticket = submit(pool)
+                except ShardFailedError:  # restart still in progress
+                    time.sleep(0.05)
+                    continue
+                outcome = ticket.result(30.0)
+            assert outcome is not None and outcome.ok
+            assert pool.recorder.shard_crashes == 1
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from repro.amc.config import HardwareConfig, OpAmpConfig
 from repro.amc.ops import AMCOperations
+from repro.circuits import dynamics
 from repro.crossbar.array import CrossbarArray
 from repro.crossbar.parasitics import ParasiticConfig
 from repro.errors import SolverError
@@ -158,6 +159,45 @@ class TestTelemetry:
         ops = AMCOperations(HardwareConfig.ideal())
         result = ops.inv(arr, np.array([0.1, 0.1]))
         assert math.isinf(result.settling_time_s)
+
+
+class TestSettlingMarginCache:
+    """The INV settling margin is computed once per programmed array and
+    parasitic configuration, not once per operation."""
+
+    @staticmethod
+    def _count_eigvals(monkeypatch) -> list:
+        calls = []
+        original = dynamics.inv_eigenvalue_margins
+
+        def counting(stack):
+            calls.append(len(stack))
+            return original(stack)
+
+        monkeypatch.setattr(dynamics, "inv_eigenvalue_margins", counting)
+        return calls
+
+    def test_repeated_inv_ops_share_one_eigvals(self, monkeypatch):
+        matrix = diagonally_dominant_matrix(6, rng=2) / 10.0
+        arr = _array(matrix)
+        ops = AMCOperations(HardwareConfig.paper_variation())
+        uncached = dynamics.inv_settling_time(
+            arr.effective_matrix(ops.config.parasitics), ops.config.opamp.gbwp_hz
+        )
+        calls = self._count_eigvals(monkeypatch)
+        times = [ops.inv(arr, np.full(6, 0.01 * k)).settling_time_s for k in (1, 2, 3)]
+        assert calls == [1]
+        assert times == [uncached] * 3
+
+    def test_cache_is_per_parasitic_config(self, monkeypatch):
+        arr = _array()
+        calls = self._count_eigvals(monkeypatch)
+        ideal = arr.inv_margin()
+        wired = arr.inv_margin(ParasiticConfig(r_wire=2.0, fidelity="first_order"))
+        assert arr.inv_margin() == ideal
+        assert arr.inv_margin(ParasiticConfig(r_wire=2.0, fidelity="first_order")) == wired
+        assert calls == [1, 1]
+        assert ideal == dynamics.inv_eigenvalue_margin(arr.effective_matrix())
 
 
 class TestMNACrossValidation:
