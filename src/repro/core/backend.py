@@ -19,12 +19,6 @@ Contracts per registered backend:
   bit-identity meaningless here; instead the tier promises the
   relative-L1 contract in :data:`F32_TOLERANCE`, enforced on the full
   config x matrix-family grid by ``tests/test_kernel_equivalence.py``.
-- ``torch`` — registers behind the same seam but constructs only when
-  PyTorch is importable (:class:`repro.errors.BackendError` otherwise;
-  the CI leg auto-skips). Kernel solves stay on the bitwise-stable
-  SciPy LAPACK primitive; the backend's job is tensor interop at the
-  boundary (``cast`` accepts tensors, :meth:`TorchArrayBackend.tensor`
-  returns them).
 
 The kernel never branches on dtype: consumers call ``backend.cast``
 unconditionally on every array entering the analog physics, and the
@@ -47,7 +41,6 @@ __all__ = [
     "DEFAULT_BACKEND",
     "F32_TOLERANCE",
     "ToleranceContract",
-    "TorchArrayBackend",
     "available_backends",
     "canonical_dtype",
     "get_backend",
@@ -202,58 +195,6 @@ class ArrayBackend:
         )
 
 
-class TorchArrayBackend(ArrayBackend):
-    """Torch-interop tier behind the same seam (requires PyTorch).
-
-    Dense solves still run through the bitwise-stable SciPy LAPACK
-    primitive — torch's batched ``linalg`` would break the kernel's
-    per-column operation-order contract — so this backend's value is at
-    the boundary: ``cast`` accepts tensors (detached to CPU NumPy at
-    the backend dtype) and :meth:`tensor` hands results back as torch
-    tensors for callers embedding the crossbar physics in tensor
-    pipelines.
-    """
-
-    def __init__(self, name: str = "torch", dtype=np.float32):
-        try:
-            import torch
-        except ImportError as exc:
-            raise BackendError(
-                "torch backend unavailable: PyTorch is not installed "
-                "(use 'numpy' or 'numpy-f32')"
-            ) from exc
-        # Everything past the import runs only with torch installed;
-        # the torch-absent contract (BackendError above) is what the
-        # coverage floor guards.
-        tolerance = (  # pragma: no cover - requires torch
-            ToleranceContract() if canonical_dtype(dtype) == _F64 else F32_TOLERANCE
-        )
-        super().__init__(  # pragma: no cover - requires torch
-            name, dtype, tolerance, f"{canonical_dtype(dtype).name} with torch interop"
-        )
-        self._torch = torch  # pragma: no cover - requires torch
-
-    @property
-    def xp(self):  # pragma: no cover - requires torch
-        return self._torch
-
-    def cast(self, value):  # pragma: no cover - requires torch
-        if value is None:
-            return None
-        if isinstance(value, self._torch.Tensor):
-            value = value.detach().cpu().numpy()
-        return np.asarray(value, dtype=self.dtype)
-
-    def to_numpy(self, value) -> np.ndarray:  # pragma: no cover - requires torch
-        if isinstance(value, self._torch.Tensor):
-            return value.detach().cpu().numpy()
-        return np.asarray(value)
-
-    def tensor(self, value):  # pragma: no cover - requires torch
-        """``value`` as a torch tensor at the backend dtype."""
-        return self._torch.as_tensor(self.cast(value))
-
-
 _FACTORIES: dict[str, Callable[[], ArrayBackend]] = {}
 _ALIASES: dict[str, str] = {}
 _INSTANCES: dict[str, ArrayBackend] = {}
@@ -266,7 +207,7 @@ def register_backend(
 
     The factory runs lazily on first :func:`get_backend` and may raise
     :class:`~repro.errors.BackendError` when the environment lacks a
-    dependency (how the torch tier degrades without torch installed).
+    dependency; :func:`available_backends` then skips it.
     """
     _FACTORIES[name] = factory
     _INSTANCES.pop(name, None)
@@ -319,4 +260,3 @@ register_backend(
     lambda: ArrayBackend("numpy-f32", np.float32, F32_TOLERANCE),
     aliases=("f32", "float32"),
 )
-register_backend("torch", lambda: TorchArrayBackend(), aliases=("torch-f32",))

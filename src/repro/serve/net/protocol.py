@@ -130,14 +130,16 @@ def array_from_bytes(blob, shape: tuple[int, ...], dtype: str = "float64") -> np
     ``dtype`` is the wire name from the header's ``dtypes`` list
     (callers pass ``"float64"`` when the peer omitted it — the
     old-protocol default). Raises :class:`WireProtocolError` for an
-    unknown dtype name or a blob whose size disagrees with
-    ``shape`` x itemsize.
+    unknown dtype name, a shape that is not a tuple of non-negative
+    integers, or a blob whose size disagrees with ``shape`` x itemsize.
     """
-    dt = _WIRE_DTYPES.get(dtype)
+    dt = _WIRE_DTYPES.get(dtype) if isinstance(dtype, str) else None
     if dt is None:
         raise WireProtocolError(
             f"unknown wire dtype {dtype!r} (known: {sorted(_WIRE_DTYPES)})"
         )
+    if not isinstance(shape, tuple) or not all(_is_count(d) for d in shape):
+        raise WireProtocolError(f"invalid array shape {shape!r}")
     expected = int(np.prod(shape)) * dt.itemsize
     if len(blob) != expected:
         raise WireProtocolError(
@@ -145,6 +147,15 @@ def array_from_bytes(blob, shape: tuple[int, ...], dtype: str = "float64") -> np
             f"for {dt.name} shape {shape}"
         )
     return np.frombuffer(bytes(blob), dtype=dt).reshape(shape)
+
+
+def _is_count(value) -> bool:
+    """A non-negative integer, and not a bool (JSON ``true`` is not a size)."""
+    return (
+        isinstance(value, (int, np.integer))
+        and not isinstance(value, bool)
+        and value >= 0
+    )
 
 
 def encode_frame(header: dict, blobs: Sequence[bytes] = ()) -> bytes:
@@ -186,11 +197,13 @@ def decode_frame(body: bytes) -> tuple[dict, list[memoryview]]:
     if not isinstance(header, dict):
         raise WireProtocolError(f"frame header must be an object, got {type(header).__name__}")
     lengths = header.get("blobs", [])
+    if not isinstance(lengths, list):
+        raise WireProtocolError(f"header blobs must be a list of lengths, got {lengths!r}")
     view = memoryview(body)
     blobs: list[memoryview] = []
     offset = 4 + head_len
     for length in lengths:
-        if not isinstance(length, int) or length < 0 or offset + length > len(body):
+        if not _is_count(length) or offset + length > len(body):
             raise WireProtocolError(f"blob lengths {lengths} overrun frame of {len(body)} bytes")
         blobs.append(view[offset : offset + length])
         offset += length

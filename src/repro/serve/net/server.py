@@ -337,7 +337,7 @@ class NetServer:
         if not blobs:
             raise WireProtocolError("solve request carries no right-hand side blob")
         n = header.get("n")
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise WireProtocolError(f"solve request needs a positive integer n, got {n!r}")
         # Per-blob dtypes; absent/short list means float64 (old clients).
         dtypes = header.get("dtypes") or []

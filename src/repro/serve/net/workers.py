@@ -2,14 +2,14 @@
 
 The in-process :class:`~repro.serve.service.SolverService` shards onto
 *threads*; this pool shards the same way onto *processes*, so heavy
-solves scale past the GIL on multi-core hosts. Each worker process owns
-exactly what a thread shard owns — a warm
-:class:`~repro.serve.cache.PreparedSolverCache`, a
-:class:`~repro.serve.batching.MicroBatcher`, per-key circuit breakers —
-and executes every batch through the same canonical kernel
-(:func:`~repro.serve.batching.execute_batch`), so results are
-bit-identical to :func:`~repro.serve.service.run_sequential` regardless
-of process count or scheduling.
+solves scale past the GIL on multi-core hosts. Each worker process runs
+the same :class:`~repro.serve.shard.ShardEngine` a thread shard runs —
+batching, deadlines, breakers, bisection and the digital fallback are
+one code path in both tiers — so results are bit-identical to
+:func:`~repro.serve.service.run_sequential` regardless of process count
+or scheduling. What the worker adds is the process transport: admission
+against its matrix table, the chaos kill escalation (the engine's
+kernel), and publishing outcomes over shared memory.
 
 Plumbing per shard: an unbounded request queue in (small
 :class:`WorkItem` messages — the rhs vector, plus the matrix payload
@@ -31,10 +31,16 @@ Failure story:
   may answer :class:`~repro.errors.UnknownDigestError`; the parent
   forgets the digest and the network client transparently re-sends the
   payload;
-- deadlines are absolute wall-clock (``time.time()``) instants, valid
-  across the process boundary on one host; expired items fail with
-  :class:`~repro.errors.DeadlineExceededError` before occupying a
-  batch slot;
+- deadlines cross the process boundary as absolute wall-clock
+  (``time.time()``) instants, valid on one host; admission converts
+  them to ``perf_counter`` instants for the engine, and expired jobs
+  fail with :class:`~repro.errors.DeadlineExceededError` before
+  occupying a batch slot;
+- an admitted job holds its matrix, so an eviction from the matrix
+  table while the job is queued cannot strand it or its fallback;
+- the worker's metric events (retries, breaker transitions, deadline
+  misses, degraded answers, batch sizes) travel as counter deltas on
+  its response messages, so the parent counts each exactly once;
 - chaos (``REPRO_CHAOS``) injects inside the worker: solve failures and
   slow calls exercise bisection/breakers/fallback, and
   :class:`~repro.testing.chaos.WorkerKillChaos` escalates to a genuine
@@ -45,6 +51,7 @@ Failure story:
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import queue
@@ -57,8 +64,6 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import (
-    CircuitOpenError,
-    DeadlineExceededError,
     ServiceClosedError,
     ServiceOverloadedError,
     ShardFailedError,
@@ -66,8 +71,8 @@ from repro.errors import (
     error_to_wire,
 )
 from repro.obs import tracer as obs
-from repro.serve.batching import MicroBatcher, execute_batch
-from repro.serve.cache import PreparedKey, PreparedSolverCache, prepare_entry
+from repro.serve.batching import execute_batch
+from repro.serve.cache import PreparedKey
 from repro.serve.metrics import MetricsRecorder
 from repro.serve.net.protocol import (
     STATUS_BREAKER_OPEN,
@@ -80,9 +85,8 @@ from repro.serve.net.protocol import (
     STATUS_UNKNOWN_DIGEST,
 )
 from repro.serve.net.transport import AttachedBlock, BlockRef, publish_block
-from repro.serve.requests import SolveRequest
-from repro.serve.resilience import DEGRADABLE_ERRORS, CircuitBreaker, digital_fallback
 from repro.serve.service import ServiceConfig, resolve_request
+from repro.serve.shard import ShardEngine
 from repro.testing.chaos import WorkerKillChaos, chaos_entry_transform, plan_from_env
 
 __all__ = ["ProcessWorkerPool", "WorkDone", "WorkFailed", "WorkItem", "WorkOutcome"]
@@ -179,309 +183,106 @@ class WorkOutcome:
 # worker process
 # ----------------------------------------------------------------------
 
+#: Engine stage → span name of this tier.
+_SPANS = {
+    "queue": "shard.queue",
+    "batch": "shard.batch",
+    "prepare": "shard.prepare",
+    "solve": "shard.solve",
+    "assemble": "shard.assemble",
+}
+
+
+class _RequestView:
+    """Duck-typed stand-in for :class:`~repro.serve.requests.SolveRequest`.
+
+    Carries what ``resolve_request``, the kernel and the digital fallback
+    read, without a real request's validation and re-hashing cost (the
+    front end already validated the payload).
+    """
+
+    __slots__ = ("digest", "solver", "hardware", "prep_seed", "matrix", "b", "seed")
+
+    def __init__(self, item: WorkItem, matrix: np.ndarray):
+        self.digest = item.digest
+        self.solver = item.solver
+        self.hardware = None  # net requests always use the service default
+        self.prep_seed = item.prep_seed
+        self.matrix = matrix
+        self.b = item.b
+        self.seed = item.seed
+
 
 class _Job:
-    """A :class:`WorkItem` resolved to its cache identity (batcher item)."""
+    """An admitted :class:`WorkItem`: one job of the worker's shard engine."""
 
-    __slots__ = ("item", "key", "hardware", "span", "admitted_at")
+    __slots__ = (
+        "id", "request", "key", "hardware", "span", "submitted_at", "deadline_at"
+    )
 
-    def __init__(self, item: WorkItem, key: PreparedKey, hardware):
-        self.item = item
+    #: Items carry only an absolute deadline, not its length.
+    deadline_s = None
+
+    def __init__(
+        self, item: WorkItem, request: _RequestView, key: PreparedKey, hardware
+    ):
+        self.id = item.id
+        #: Holds the matrix from admission on, so a matrix-table eviction
+        #: while the job is queued cannot strand it or its fallback.
+        self.request = request
         self.key = key
         self.hardware = hardware
         #: Worker-side request span (NOOP when tracing is disabled).
         self.span = obs.NOOP_SPAN
-        self.admitted_at = 0.0
+        self.submitted_at = time.perf_counter()
+        # The engine runs on one clock: convert the wall-clock deadline.
+        self.deadline_at = (
+            None
+            if item.deadline_at is None
+            else self.submitted_at + (item.deadline_at - time.time())
+        )
 
 
-class _RequestView:
-    """Duck-typed stand-in for :class:`SolveRequest` in ``resolve_request``.
+class _WorkerMetrics:
+    """The engine's metrics sink inside a worker: events become deltas.
 
-    Carries only the identity fields — the matrix may be absent (digest
-    known to the worker), which a real ``SolveRequest`` cannot express.
+    Every response message carries the deltas since the previous one and
+    the parent replays them into its :class:`MetricsRecorder`, so each
+    event is counted exactly once. Prepare time is kept cumulative
+    instead and travels in the cache snapshot.
     """
 
-    __slots__ = ("digest", "solver", "hardware", "prep_seed")
-
-    def __init__(self, digest: str, solver: str | None, prep_seed: int | None):
-        self.digest = digest
-        self.solver = solver
-        self.hardware = None  # net requests always use the service default
-        self.prep_seed = prep_seed
-
-
-class _WorkerState:
-    """Everything one worker process owns (mirrors a thread ``_Shard``)."""
-
-    def __init__(self, config: ServiceConfig):
-        self.config = config
-        self.cache = PreparedSolverCache(config.cache_capacity)
-        self.batcher = MicroBatcher(config.max_batch_size)
-        self.breakers: dict[PreparedKey, CircuitBreaker] = {}
-        #: digest → matrix, bounded LRU (evictions answer UnknownDigestError).
-        self.matrices: dict[str, np.ndarray] = {}
-        self.matrix_capacity = max(64, 4 * config.cache_capacity)
-        self.plan = plan_from_env()
-        self.entry_transform = config.entry_transform
-        if self.entry_transform is None and self.plan is not None:
-            self.entry_transform = chaos_entry_transform(self.plan)
+    def __init__(self):
         self.prepare_s = 0.0
-        self.counters = {"retries": 0, "breaker_transitions": 0, "batch_sizes": []}
+        self.deltas: dict = {}
 
-    def drain_counters(self) -> dict:
-        out = {k: v for k, v in self.counters.items() if v}
-        self.counters = {"retries": 0, "breaker_transitions": 0, "batch_sizes": []}
-        return out
+    def _count(self, name: str) -> None:
+        self.deltas[name] = self.deltas.get(name, 0) + 1
 
-    def cache_snapshot(self) -> tuple:
-        stats = self.cache.stats
-        return (stats.hits, stats.misses, stats.evictions, self.prepare_s)
+    def record_retry(self) -> None:
+        self._count("retries")
 
+    def record_breaker_transition(self) -> None:
+        self._count("breaker_transitions")
 
-def _worker_main(config: ServiceConfig, request_q, response_q) -> None:
-    """Entry point of one worker process (module-level for picklability)."""
-    if config.trace_dir is not None:
-        # Fresh tracer in the child: own lock, own spans-<pid>.jsonl.
-        obs.configure(trace_dir=config.trace_dir)
-    state = _WorkerState(config)
-    while True:
-        if not len(state.batcher):
-            try:
-                item = request_q.get(timeout=_POLL_S)
-            except queue.Empty:
-                continue
-            if item is None:
-                return
-            _admit(state, item, response_q)
-        _drain(state, request_q, response_q)
-        key = state.batcher.next_key()
-        if key is None:
-            continue
-        _serve_key(state, key, request_q, response_q)
+    def record_deadline_miss(self) -> None:
+        self._count("deadline_misses")
+
+    def record_degraded(self) -> None:
+        self._count("degraded")
+
+    def record_batch(self, size: int) -> None:
+        self.deltas.setdefault("batch_sizes", []).append(size)
+
+    def record_prepare(self, seconds: float) -> None:
+        self.prepare_s += seconds
+
+    def drain(self) -> dict:
+        deltas, self.deltas = self.deltas, {}
+        return deltas
 
 
-def _drain(state: _WorkerState, request_q, response_q) -> None:
-    while len(state.batcher) < state.config.queue_depth:
-        try:
-            item = request_q.get_nowait()
-        except queue.Empty:
-            return
-        if item is None:
-            # Keep draining until exit so close() never strands a put.
-            raise SystemExit(0)
-        _admit(state, item, response_q)
-
-
-def _admit(state: _WorkerState, item: WorkItem, response_q) -> None:
-    """Resolve one item to its cache identity; fail it typed if impossible."""
-    if item.matrix is not None:
-        state.matrices[item.digest] = item.matrix
-        while len(state.matrices) > state.matrix_capacity:
-            state.matrices.pop(next(iter(state.matrices)))
-    elif item.digest not in state.matrices:
-        _respond_failure(
-            state,
-            response_q,
-            item,
-            UnknownDigestError(
-                f"worker holds no matrix for digest {item.digest[:12]} "
-                "(restarted or evicted); re-send with the payload"
-            ),
-        )
-        return
-    try:
-        key, hardware = resolve_request(
-            _RequestView(item.digest, item.solver, item.prep_seed), state.config
-        )
-    except Exception as exc:
-        _respond_failure(state, response_q, item, exc)
-        return
-    job = _Job(item, key, hardware)
-    tracer = obs.active()
-    if tracer.enabled:
-        # item.trace stitches this span under the server-side request
-        # span even though we are in a different process.
-        job.span = tracer.start_span(
-            "shard.request",
-            trace=item.trace,
-            attributes={
-                "digest": item.digest[:12],
-                "seed": item.seed,
-                "pid": os.getpid(),
-            },
-        )
-        job.admitted_at = time.perf_counter()
-    state.batcher.add(job)
-
-
-def _serve_key(state: _WorkerState, key: PreparedKey, request_q, response_q) -> None:
-    """Execute (or fail) the pending group for one prepared key."""
-    config = state.config
-    breaker = _breaker_for(state, key)
-    if breaker is not None and not breaker.allow():
-        _fail_key_group(
-            state,
-            key,
-            response_q,
-            CircuitOpenError(
-                f"circuit breaker open for prepared solver {key.solver!r} "
-                f"on matrix {key.matrix_digest[:12]}",
-                retry_after_s=breaker.retry_after_s(),
-            ),
-        )
-        return
-    entry = _entry_for(state, key, breaker, response_q)
-    if entry is None:
-        return
-    if (
-        entry.coalescible
-        and config.max_linger_s > 0.0
-        and state.batcher.pending_for(key) < config.max_batch_size
-    ):
-        _linger(state, key, request_q, response_q)
-    batch = _expire(state, state.batcher.take(key), response_q)
-    if not batch:
-        return
-    state.cache.credit_hits(len(batch) - 1)
-    state.counters["batch_sizes"].append(len(batch))
-    start = time.perf_counter()
-    tracer = obs.active()
-    batch_span = obs.NOOP_SPAN
-    if tracer.enabled:
-        for job in batch:
-            # Retroactive: admit → execution-start gap, no extra clock
-            # reads on the untraced path.
-            tracer.record_span(
-                "shard.queue",
-                parent=job.span,
-                start_s=job.admitted_at,
-                end_s=start,
-            )
-        batch_span = tracer.start_span(
-            "shard.batch",
-            attributes={
-                "size": len(batch),
-                "solver": key.solver,
-                "pid": os.getpid(),
-                "members": [job.span.span_id for job in batch],
-            },
-            start_s=start,
-        )
-    finished: list[tuple[_Job, object, str]] = []
-    if tracer.enabled:
-        with tracer.use_span(batch_span):
-            _execute(state, entry, batch, breaker, finished)
-    else:
-        _execute(state, entry, batch, breaker, finished)
-    per_request = (time.perf_counter() - start) / len(batch)
-    if tracer.enabled:
-        solved = time.perf_counter()
-        for job, result, status in finished:
-            if status:
-                tracer.record_span(
-                    "shard.solve",
-                    parent=job.span,
-                    start_s=start,
-                    end_s=solved,
-                    attributes={
-                        "batch_span": batch_span.span_id,
-                        "analog_time_s": float(
-                            getattr(result, "analog_time_s", 0.0)
-                        ),
-                    },
-                )
-        batch_span.end()
-    _publish(state, finished, response_q, per_request)
-
-
-def _breaker_for(state: _WorkerState, key: PreparedKey) -> CircuitBreaker | None:
-    policy = state.config.resilience
-    if policy.breaker_threshold < 1:
-        return None
-    breaker = state.breakers.get(key)
-    if breaker is None:
-
-        def count():
-            state.counters["breaker_transitions"] += 1
-
-        breaker = CircuitBreaker(
-            policy.breaker_threshold, policy.breaker_reset_s, on_transition=count
-        )
-        state.breakers[key] = breaker
-    return breaker
-
-
-def _record_key_failure(
-    state: _WorkerState, key: PreparedKey, breaker: CircuitBreaker | None
-) -> None:
-    if breaker is not None and breaker.record_failure():
-        state.cache.invalidate(key)
-
-
-def _entry_for(state: _WorkerState, key: PreparedKey, breaker, response_q):
-    head = state.batcher.peek(key)
-    matrix = state.matrices.get(head.item.digest)
-    if matrix is None:
-        _fail_key_group(
-            state,
-            key,
-            response_q,
-            UnknownDigestError(
-                f"worker evicted the matrix for digest {key.matrix_digest[:12]}; "
-                "re-send with the payload"
-            ),
-        )
-        return None
-
-    def factory():
-        entry = prepare_entry(key, matrix, head.hardware)
-        state.prepare_s += entry.prepare_seconds
-        if state.entry_transform is not None:
-            entry = state.entry_transform(entry)
-        return entry
-
-    try:
-        return state.cache.get_or_prepare(key, factory)
-    except Exception as exc:
-        _record_key_failure(state, key, breaker)
-        _fail_key_group(state, key, response_q, exc)
-        return None
-
-
-def _linger(state: _WorkerState, key: PreparedKey, request_q, response_q) -> None:
-    deadline = time.perf_counter() + state.config.max_linger_s
-    while (
-        state.batcher.pending_for(key) < state.config.max_batch_size
-        and len(state.batcher) < state.config.queue_depth
-    ):
-        remaining = deadline - time.perf_counter()
-        if remaining <= 0.0:
-            return
-        try:
-            item = request_q.get(timeout=remaining)
-        except queue.Empty:
-            return
-        if item is None:
-            raise SystemExit(0)
-        _admit(state, item, response_q)
-
-
-def _expire(state: _WorkerState, batch: list[_Job], response_q) -> list[_Job]:
-    live = []
-    now = time.time()
-    for job in batch:
-        if job.item.deadline_at is not None and now >= job.item.deadline_at:
-            error = DeadlineExceededError(
-                "deadline expired before the request reached execution"
-            )
-            job.span.fail(error)
-            _respond_failure(state, response_q, job.item, error)
-        else:
-            live.append(job)
-    return live
-
-
-def _run_kernel(state: _WorkerState, entry, jobs: list[_Job]):
+def _run_kernel(plan, entry, bs, seeds, *, lean: bool):
     """``execute_batch`` with the chaos-kill escalation seam.
 
     :class:`WorkerKillChaos` becomes a genuine ``SIGKILL`` of this
@@ -491,14 +292,8 @@ def _run_kernel(state: _WorkerState, entry, jobs: list[_Job]):
     """
     while True:
         try:
-            return execute_batch(
-                entry,
-                [j.item.b for j in jobs],
-                [j.item.seed for j in jobs],
-                lean=True,
-            )
+            return execute_batch(entry, bs, seeds, lean=lean)
         except WorkerKillChaos as chaos:
-            plan = state.plan
             tag = getattr(chaos, "tag", "")
             if (
                 plan is not None
@@ -510,113 +305,178 @@ def _run_kernel(state: _WorkerState, entry, jobs: list[_Job]):
             raise  # pragma: no cover - unreachable
 
 
-def _execute(state, entry, jobs: list[_Job], breaker, finished: list) -> None:
-    try:
-        results = _run_kernel(state, entry, jobs)
-    except Exception:
-        _isolate(state, entry, jobs, breaker, finished)
-    else:
-        finished.extend((job, result, STATUS_OK) for job, result in zip(jobs, results))
-        if breaker is not None:
-            breaker.record_success()
+class _WorkerState:
+    """One worker process: admission, its :class:`ShardEngine`, its responses.
 
+    The engine does the serving; this class is the process transport
+    around it: admission against the matrix table, the chaos kill
+    escalation (the engine's kernel), and publishing outcomes over
+    shared memory.
+    """
 
-def _isolate(state, entry, jobs: list[_Job], breaker, finished: list) -> None:
-    """Bisect a failed batch; same blast-radius semantics as the thread tier."""
-    if len(jobs) == 1:
-        job = jobs[0]
-        state.counters["retries"] += 1
+    def __init__(self, config: ServiceConfig, request_q, response_q):
+        self.config = config
+        self.request_q = request_q
+        self.response_q = response_q
+        #: digest → matrix, bounded LRU (evictions answer UnknownDigestError).
+        self.matrices: dict[str, np.ndarray] = {}
+        self.matrix_capacity = max(64, 4 * config.cache_capacity)
+        plan = plan_from_env()
+        entry_transform = config.entry_transform
+        if entry_transform is None and plan is not None:
+            entry_transform = chaos_entry_transform(plan)
+        self.metrics = _WorkerMetrics()
+        self.engine = ShardEngine(
+            config,
+            self.metrics,
+            _SPANS,
+            span_attributes={"pid": os.getpid()},
+            kernel=functools.partial(_run_kernel, plan),
+            entry_transform=entry_transform,
+            lean=True,
+        )
+
+    def run(self) -> None:
+        batcher = self.engine.batcher
+        while True:
+            if not len(batcher) and not self.pull(_POLL_S):
+                continue
+            # Bounded like the thread tier: stop pulling at queue_depth.
+            while len(batcher) < self.config.queue_depth and self.pull(0.0):
+                pass
+            key = batcher.next_key()
+            if key is not None:
+                self._serve(key)
+
+    def pull(self, timeout_s: float) -> bool:
+        """Admit one queued item; False on timeout. The close sentinel exits.
+
+        Exiting from any pull (not only an idle one) means close() never
+        strands a put.
+        """
         try:
-            result = _run_kernel(state, entry, jobs)[0]
-        except Exception as exc:
-            _degrade_or_fail(state, entry, job, exc, breaker, finished)
-        else:
-            finished.append((job, result, STATUS_OK))
-            if breaker is not None:
-                breaker.record_success()
-        return
-    mid = len(jobs) // 2
-    for half in (jobs[:mid], jobs[mid:]):
-        state.counters["retries"] += 1
-        try:
-            results = _run_kernel(state, entry, half)
-        except Exception:
-            _isolate(state, entry, half, breaker, finished)
-        else:
-            finished.extend(
-                (job, result, STATUS_OK) for job, result in zip(half, results)
-            )
-            if breaker is not None:
-                breaker.record_success()
+            item = self.request_q.get(timeout=timeout_s)
+        except queue.Empty:
+            return False
+        if item is None:
+            raise SystemExit(0)
+        self._admit(item)
+        return True
 
-
-def _degrade_or_fail(state, entry, job: _Job, exc, breaker, finished: list) -> None:
-    _record_key_failure(state, entry.key, breaker)
-    policy = state.config.resilience
-    if policy.fallback == "digital" and isinstance(exc, DEGRADABLE_ERRORS):
-        matrix = state.matrices.get(job.item.digest)
+    def _admit(self, item: WorkItem) -> None:
+        """Resolve one item to its cache identity; fail it typed if impossible."""
+        matrix = item.matrix
         if matrix is not None:
-            try:
-                result = digital_fallback(
-                    SolveRequest(matrix=matrix, b=job.item.b, digest=job.item.digest),
-                    lean=True,
-                )
-            except Exception as fallback_exc:
-                finished.append((job, fallback_exc, None))
-                return
-            finished.append((job, result, STATUS_DEGRADED))
-            return
-    finished.append((job, exc, None))
-
-
-def _publish(state, finished: list, response_q, per_request_s: float) -> None:
-    """Ship one batch's outcomes: one shm block, one message per request."""
-    successes = [(job, result, status) for job, result, status in finished if status]
-    failures = [(job, result) for job, result, status in finished if status is None]
-    counters = state.drain_counters()
-    counters["service_per_request_s"] = per_request_s
-    cache = state.cache_snapshot()
-    # Group by solution dtype before stacking: a float32-tier batch may
-    # carry a float64 degraded-fallback row, and np.stack across the mix
-    # would silently upcast the analog rows. One group (one block) in
-    # the common case.
-    groups: dict[str, list] = {}
-    for job, result, status in successes:
-        groups.setdefault(np.asarray(result.x).dtype.name, []).append(
-            (job, result, status)
-        )
-    for group in groups.values():
-        block = publish_block(
-            np.stack([result.x for _, result, _ in group]),
-            np.stack([result.reference for _, result, _ in group]),
-        )
-        for row, (job, result, status) in enumerate(group):
-            job.span.end(status="ok" if status == STATUS_OK else "degraded")
-            response_q.put(
-                WorkDone(
-                    id=job.item.id,
-                    status=status,
-                    block=block,
-                    row=row,
-                    telemetry=_telemetry(result, len(finished)),
-                    counters=counters,
-                    cache=cache,
-                )
+            self.matrices[item.digest] = matrix
+            while len(self.matrices) > self.matrix_capacity:
+                self.matrices.pop(next(iter(self.matrices)))
+        else:
+            matrix = self.matrices.get(item.digest)
+        if matrix is None:
+            self._respond_failure(
+                item.id,
+                item.digest,
+                UnknownDigestError(
+                    f"worker holds no matrix for digest {item.digest[:12]} "
+                    "(restarted or evicted); re-send with the payload"
+                ),
             )
-            counters = {}
-    for job, exc in failures:
-        job.span.fail(exc)
-        response_q.put(
+            return
+        request = _RequestView(item, matrix)
+        try:
+            key, hardware = resolve_request(request, self.config)
+        except Exception as exc:
+            self._respond_failure(item.id, item.digest, exc)
+            return
+        job = _Job(item, request, key, hardware)
+        tracer = obs.active()
+        if tracer.enabled:
+            # item.trace stitches this span under the server-side request
+            # span even though we are in a different process.
+            job.span = tracer.start_span(
+                "shard.request",
+                trace=item.trace,
+                attributes={
+                    "digest": item.digest[:12],
+                    "seed": item.seed,
+                    "pid": os.getpid(),
+                },
+            )
+        self.engine.batcher.add(job)
+
+    def _serve(self, key: PreparedKey) -> None:
+        """Serve one key group: failures answer at once, results in one block."""
+        successes: list = []
+
+        def emit(job: _Job, outcome, status) -> None:
+            if status is None:
+                job.span.fail(outcome)
+                self._respond_failure(job.id, job.request.digest, outcome)
+            else:
+                successes.append((job, outcome, status))
+
+        served = self.engine.serve(key, self.pull, emit)
+        if served is not None:
+            size, per_request_s = served
+            self.metrics.deltas["service_per_request_s"] = per_request_s
+            self._publish(successes, size)
+
+    def _publish(self, successes: list, batch: int) -> None:
+        """Ship one batch's results: one shm block, one message per request."""
+        counters = self.metrics.drain()
+        cache = self.cache_snapshot()
+        # Group by solution dtype before stacking: a float32-tier batch may
+        # carry a float64 degraded-fallback row, and np.stack across the mix
+        # would silently upcast the analog rows. One group (one block) in
+        # the common case.
+        groups: dict[str, list] = {}
+        for job, result, status in successes:
+            groups.setdefault(np.asarray(result.x).dtype.name, []).append(
+                (job, result, status)
+            )
+        for group in groups.values():
+            block = publish_block(
+                np.stack([result.x for _, result, _ in group]),
+                np.stack([result.reference for _, result, _ in group]),
+            )
+            for row, (job, result, status) in enumerate(group):
+                job.span.end(status=status)
+                self.response_q.put(
+                    WorkDone(
+                        id=job.id,
+                        status=status,
+                        block=block,
+                        row=row,
+                        telemetry=_telemetry(result, batch),
+                        counters=counters,
+                        cache=cache,
+                    )
+                )
+                counters = {}
+
+    def _respond_failure(self, request_id: int, digest: str, exc) -> None:
+        self.response_q.put(
             WorkFailed(
-                id=job.item.id,
+                id=request_id,
                 status=status_for_error(exc),
                 error=error_to_wire(exc),
-                digest=job.item.digest,
-                counters=counters,
-                cache=cache,
+                digest=digest,
+                counters=self.metrics.drain(),
+                cache=self.cache_snapshot(),
             )
         )
-        counters = {}
+
+    def cache_snapshot(self) -> tuple:
+        stats = self.engine.cache.stats
+        return (stats.hits, stats.misses, stats.evictions, self.metrics.prepare_s)
+
+
+def _worker_main(config: ServiceConfig, request_q, response_q) -> None:
+    """Entry point of one worker process (module-level for picklability)."""
+    if config.trace_dir is not None:
+        # Fresh tracer in the child: own lock, own spans-<pid>.jsonl.
+        obs.configure(trace_dir=config.trace_dir)
+    _WorkerState(config, request_q, response_q).run()
 
 
 def _telemetry(result, batch: int) -> dict:
@@ -632,29 +492,6 @@ def _telemetry(result, batch: int) -> dict:
         "batch": batch,
         "metadata": metadata,
     }
-
-
-def _respond_failure(state: _WorkerState, response_q, item: WorkItem, exc) -> None:
-    response_q.put(
-        WorkFailed(
-            id=item.id,
-            status=status_for_error(exc),
-            error=error_to_wire(exc),
-            digest=item.digest,
-            counters=state.drain_counters(),
-            cache=state.cache_snapshot(),
-        )
-    )
-
-
-def _fail_key_group(state: _WorkerState, key: PreparedKey, response_q, exc) -> None:
-    while True:
-        group = state.batcher.take(key)
-        if not group:
-            return
-        for job in group:
-            job.span.fail(exc)
-            _respond_failure(state, response_q, job.item, exc)
 
 
 # ----------------------------------------------------------------------
@@ -943,14 +780,10 @@ class ProcessWorkerPool:
                 reference=reference,
                 telemetry=msg.telemetry,
             )
-            if msg.status == STATUS_DEGRADED:
-                self.recorder.record_degraded()
         else:
             if msg.status == STATUS_UNKNOWN_DIGEST:
                 with shard.lock:
                     shard.known_digests.discard(msg.digest)
-            if msg.status == STATUS_DEADLINE:
-                self.recorder.record_deadline_miss()
             outcome = WorkOutcome(id=msg.id, status=msg.status, error=msg.error)
         if pending is None:  # pragma: no cover - defensive (stale response)
             return
@@ -977,6 +810,10 @@ class ProcessWorkerPool:
             self.recorder.record_retry()
         for _ in range(counters.get("breaker_transitions", 0)):
             self.recorder.record_breaker_transition()
+        for _ in range(counters.get("deadline_misses", 0)):
+            self.recorder.record_deadline_miss()
+        for _ in range(counters.get("degraded", 0)):
+            self.recorder.record_degraded()
         for size in counters.get("batch_sizes", ()):
             self.recorder.record_batch(size)
         per_request = counters.get("service_per_request_s")

@@ -23,21 +23,20 @@ Failure story (knobs on :class:`~repro.serve.resilience.ResiliencePolicy`):
   (shard backlog x recent per-request service time) exceeds the
   threshold, with a retry-after hint
   (:class:`~repro.errors.OverloadedError`);
-- a per-:class:`~repro.serve.cache.PreparedKey` **circuit breaker**
-  stops a key whose preparation or solves keep failing from dragging
-  down its shard (tripping invalidates the cached entry, so the
-  half-open probe re-prepares);
-- **blast-radius isolation**: a failed coalesced batch is bisected and
-  re-executed so only the culprit request fails; re-execution restarts
-  from each request's own seed through the same canonical kernel, so
-  surviving results stay bit-identical to the sequential reference;
-- an opt-in **degradation ladder** (``fallback="digital"``) answers
-  analog failures with the digital reference solve, tagged
-  ``degraded=True``;
+- a submit whose prepared solver's **circuit breaker** is open fails
+  fast with :class:`~repro.errors.CircuitOpenError`;
 - the worker loop is **crash-proof**: a last-resort handler fails
   in-flight tickets with :class:`~repro.errors.ShardFailedError` and
   restarts the loop, up to ``max_shard_restarts`` times, after which
   the shard is marked dead and submits to it fail fast.
+
+Everything between dequeue and outcome — coalescing, lingering,
+deadline expiry, the breakers, blast-radius bisection of a failed batch
+and the opt-in digital **degradation ladder** — is one
+:class:`~repro.serve.shard.ShardEngine` per shard. The network tier
+(:mod:`repro.serve.net`) runs the same engine inside **process-based**
+workers that escape the GIL, so both tiers share one failure policy and
+answer with identical bits.
 
 Determinism: every execution goes through the canonical kernel
 (:func:`repro.serve.batching.execute_batch`) against entries whose
@@ -45,14 +44,6 @@ random draws were fixed at preparation time, so results are bit-identical
 to :func:`run_sequential` over the same requests — regardless of worker
 count, queue timing, how batches happened to form, or how many faulted
 batches were bisected along the way.
-
-This class is the **in-process, thread-sharded** tier (the engines are
-NumPy-bound and release the GIL inside BLAS). The network tier —
-:mod:`repro.serve.net` — serves the same requests over TCP through
-**process-based** workers that escape the GIL entirely, reusing this
-module's building blocks (:func:`resolve_request`, the prepared cache,
-the micro-batcher, and :func:`~repro.serve.batching.execute_batch`), so
-both tiers answer with identical bits.
 """
 
 from __future__ import annotations
@@ -69,8 +60,6 @@ from repro.amc.config import HardwareConfig
 from repro.core.backend import get_backend
 from repro.core.solution import SolveResult
 from repro.errors import (
-    CircuitOpenError,
-    DeadlineExceededError,
     OverloadedError,
     ServeError,
     ServiceClosedError,
@@ -78,7 +67,7 @@ from repro.errors import (
     ShardFailedError,
 )
 from repro.obs import tracer as obs
-from repro.serve.batching import MicroBatcher, execute_batch
+from repro.serve.batching import execute_batch
 from repro.serve.cache import (
     SOLVER_KINDS,
     CacheStats,
@@ -88,12 +77,8 @@ from repro.serve.cache import (
 )
 from repro.serve.metrics import MetricsRecorder, ServiceMetrics
 from repro.serve.requests import SolveRequest
-from repro.serve.resilience import (
-    DEGRADABLE_ERRORS,
-    CircuitBreaker,
-    ResiliencePolicy,
-    digital_fallback,
-)
+from repro.serve.resilience import ResiliencePolicy
+from repro.serve.shard import ShardEngine
 
 __all__ = [
     "ServiceConfig",
@@ -105,6 +90,15 @@ __all__ = [
 
 #: Idle-poll period of the worker loops (shutdown latency bound).
 _POLL_S = 0.02
+
+#: Engine stage → span name of this tier.
+_SPANS = {
+    "queue": "serve.queue",
+    "batch": "serve.batch",
+    "prepare": "serve.prepare",
+    "solve": "serve.execute",
+    "assemble": "serve.assemble",
+}
 
 #: Lifecycle span name → metrics stage name: these spans feed the
 #: per-stage latency breakdown in :class:`ServiceMetrics`.
@@ -177,7 +171,7 @@ class ServiceConfig:
         results: solves are bit-identical either way.
     backend:
         Array backend / precision tier for the *default* hardware
-        (``"numpy"``, ``"numpy-f32"``, ``"torch"`` — see
+        (``"numpy"`` or ``"numpy-f32"`` — see
         :mod:`repro.core.backend`). ``None`` keeps whatever tier
         ``default_hardware`` already carries. Requests that bring their
         own :class:`HardwareConfig` are unaffected: their config's own
@@ -270,10 +264,6 @@ def resolve_request(
     return key, hardware
 
 
-#: Backward-compatible private alias (pre-net internal name).
-_resolve = resolve_request
-
-
 class SolveTicket:
     """Handle to one submitted request (a thin Future wrapper)."""
 
@@ -311,19 +301,27 @@ class SolveTicket:
 
 
 class _Shard:
-    """One worker's queue, cache, batcher, and failure-domain state."""
+    """One worker thread: its queue, its :class:`ShardEngine`, its crash state."""
 
-    def __init__(self, index: int, config: ServiceConfig):
+    def __init__(
+        self,
+        index: int,
+        config: ServiceConfig,
+        metrics: MetricsRecorder,
+        abort: threading.Event,
+    ):
         self.index = index
         self.queue: queue.Queue = queue.Queue(maxsize=config.queue_depth)
-        self.cache = PreparedSolverCache(config.cache_capacity)
-        self.batcher = MicroBatcher(config.max_batch_size)
+        self.engine = ShardEngine(
+            config,
+            metrics,
+            _SPANS,
+            span_attributes={"shard": index},
+            entry_transform=config.entry_transform,
+            lean=config.lean_results,
+        )
+        self.abort = abort
         self.thread: threading.Thread | None = None
-        #: Circuit breakers by PreparedKey (created lazily by the worker).
-        self.breakers: dict[PreparedKey, CircuitBreaker] = {}
-        self.breaker_lock = threading.Lock()
-        #: Tickets of the batch currently executing (crash-rescue list).
-        self.inflight: list[SolveTicket] = []
         #: EWMA of per-request service time; drives load-shedding estimates.
         self.service_ewma_s = 0.0
         #: Worker-loop crash count (bounded by max_shard_restarts).
@@ -333,7 +331,18 @@ class _Shard:
 
     def backlog(self) -> int:
         """Approximate in-flight request count (queue + batcher + executing)."""
-        return self.queue.qsize() + len(self.batcher) + len(self.inflight)
+        engine = self.engine
+        return self.queue.qsize() + len(engine.batcher) + len(engine.inflight)
+
+    def pull(self, timeout_s: float) -> bool:
+        """Move one queued ticket into the batcher; False on timeout or abort."""
+        if self.abort.is_set():
+            return False
+        try:
+            self.engine.batcher.add(self.queue.get(timeout=timeout_s))
+        except queue.Empty:
+            return False
+        return True
 
 
 class SolverService:
@@ -364,7 +373,10 @@ class SolverService:
         # slip a ticket into a queue its worker has already abandoned.
         # The dead flag of a crashed-out shard follows the same protocol.
         self._submit_lock = threading.Lock()
-        self._shards = [_Shard(i, self.config) for i in range(self.config.workers)]
+        self._shards = [
+            _Shard(i, self.config, self._metrics, self._abort)
+            for i in range(self.config.workers)
+        ]
         for shard in self._shards:
             shard.thread = threading.Thread(
                 target=self._worker_main,
@@ -401,7 +413,7 @@ class SolverService:
         has crashed out of its restart budget.
         """
         policy = self.config.resilience
-        key, hardware = _resolve(request, self.config)
+        key, hardware = resolve_request(request, self.config)
         deadline_s = (
             request.deadline_s if request.deadline_s is not None else policy.deadline_s
         )
@@ -412,15 +424,10 @@ class SolverService:
                 f"shard {shard.index} is dead (crashed {shard.restarts} times); "
                 "request refused"
             )
-        with shard.breaker_lock:
-            breaker = shard.breakers.get(key)
-        if breaker is not None and breaker.is_open():
+        breaker_error = shard.engine.breaker_error(key)
+        if breaker_error is not None:
             self._metrics.record_rejected()
-            raise CircuitOpenError(
-                f"circuit breaker open for prepared solver {key.solver!r} "
-                f"on matrix {key.matrix_digest[:12]}",
-                retry_after_s=breaker.retry_after_s(),
-            )
+            raise breaker_error
         if policy.shed_latency_s is not None:
             estimate = shard.backlog() * shard.service_ewma_s
             if estimate > policy.shed_latency_s:
@@ -521,12 +528,12 @@ class SolverService:
         """Snapshot of service telemetry (aggregated across shards)."""
         cache = CacheStats()
         for shard in self._shards:
-            cache = cache.merge(shard.cache.stats)
+            cache = cache.merge(shard.engine.cache.stats)
         return self._metrics.snapshot(cache)
 
     def cached_solvers(self) -> list[PreparedKey]:
         """Keys of every resident prepared solver, across all shards."""
-        return [key for shard in self._shards for key in shard.cache.keys()]
+        return [key for shard in self._shards for key in shard.engine.cache.keys()]
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -579,9 +586,9 @@ class SolverService:
                     f"shard {shard.index} worker crashed while this request "
                     "was in flight"
                 )
-                inflight, shard.inflight = shard.inflight, []
+                inflight, shard.engine.inflight = shard.engine.inflight, []
                 for ticket in inflight:
-                    self._fail_ticket(ticket, error)
+                    self._emit(ticket, error)
                 shard.restarts += 1
                 if (
                     self._closed.is_set()
@@ -593,51 +600,30 @@ class SolverService:
                     return
 
     def _worker_loop(self, shard: _Shard) -> None:
-        batcher = shard.batcher
+        batcher = shard.engine.batcher
         while True:
             if self._abort.is_set():
                 self._fail_pending(shard)
                 return
-            if not len(batcher):
-                try:
-                    batcher.add(shard.queue.get(timeout=_POLL_S))
-                except queue.Empty:
-                    if self._closed.is_set():
-                        # Closed is flipped under the submit lock, so no
-                        # put can follow it — but one may have raced the
-                        # empty check above. Drain once more and only
-                        # exit if truly nothing is left.
-                        self._drain_queue(shard)
-                        if not len(batcher):
-                            return
-                    continue
+            if not len(batcher) and not shard.pull(_POLL_S):
+                if self._closed.is_set():
+                    # Closed is flipped under the submit lock, so no put
+                    # can follow it — but one may have raced the empty
+                    # check above. Drain once more and only exit if truly
+                    # nothing is left.
+                    self._drain_queue(shard)
+                    if not len(batcher):
+                        return
+                continue
             self._drain_queue(shard)
-            key = batcher.next_key()
-            breaker = self._breaker_for(shard, key)
-            if breaker is not None and not breaker.allow():
-                self._fail_key_group(
-                    shard,
-                    key,
-                    CircuitOpenError(
-                        f"circuit breaker open for prepared solver {key.solver!r} "
-                        f"on matrix {key.matrix_digest[:12]}",
-                        retry_after_s=breaker.retry_after_s(),
-                    ),
+            served = shard.engine.serve(batcher.next_key(), shard.pull, self._emit)
+            if served is not None:
+                per_request = served[1]
+                shard.service_ewma_s = (
+                    per_request
+                    if shard.service_ewma_s == 0.0
+                    else 0.8 * shard.service_ewma_s + 0.2 * per_request
                 )
-                continue
-            entry = self._entry_for(shard, key, breaker)
-            if entry is None:
-                continue
-            if (
-                entry.coalescible
-                and self.config.max_linger_s > 0.0
-                and batcher.pending_for(key) < self.config.max_batch_size
-            ):
-                self._linger(shard, key)
-            batch = self._expire(batcher.take(key))
-            if batch:
-                shard.cache.credit_hits(len(batch) - 1)
-                self._execute(shard, entry, batch, breaker)
 
     def _drain_queue(self, shard: _Shard) -> None:
         # The batcher backlog is bounded like the queue: once the worker
@@ -645,320 +631,44 @@ class SolverService:
         # genuinely limits in-flight work (at most ~2x queue_depth per
         # shard between queue and batcher) and backpressure engages
         # instead of the backlog growing without bound.
-        while len(shard.batcher) < self.config.queue_depth:
+        batcher = shard.engine.batcher
+        while len(batcher) < self.config.queue_depth:
             try:
-                shard.batcher.add(shard.queue.get_nowait())
+                batcher.add(shard.queue.get_nowait())
             except queue.Empty:
                 return
 
-    def _linger(self, shard: _Shard, key: PreparedKey) -> None:
-        """Hold the batch open briefly, hoping to coalesce stragglers."""
-        deadline = time.perf_counter() + self.config.max_linger_s
-        while (
-            shard.batcher.pending_for(key) < self.config.max_batch_size
-            and len(shard.batcher) < self.config.queue_depth
-        ):
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0.0 or self._abort.is_set():
-                return
-            try:
-                shard.batcher.add(shard.queue.get(timeout=remaining))
-            except queue.Empty:
-                return
-
-    def _breaker_for(self, shard: _Shard, key: PreparedKey) -> CircuitBreaker | None:
-        """The key's circuit breaker, created lazily (None when disabled)."""
-        policy = self.config.resilience
-        if policy.breaker_threshold < 1:
-            return None
-        with shard.breaker_lock:
-            breaker = shard.breakers.get(key)
-            if breaker is None:
-                breaker = CircuitBreaker(
-                    policy.breaker_threshold,
-                    policy.breaker_reset_s,
-                    on_transition=self._metrics.record_breaker_transition,
-                )
-                shard.breakers[key] = breaker
-            return breaker
-
-    def _record_key_failure(
-        self, shard: _Shard, key: PreparedKey, breaker: CircuitBreaker | None
-    ) -> None:
-        """Count one failure against the key's breaker; trip → drop the entry.
-
-        Invalidating on trip makes the eventual half-open probe
-        re-prepare from scratch instead of re-trying a possibly corrupt
-        programmed macro.
-        """
-        if breaker is not None and breaker.record_failure():
-            shard.cache.invalidate(key)
-
-    def _entry_for(
-        self, shard: _Shard, key: PreparedKey, breaker: CircuitBreaker | None = None
-    ):
-        head = shard.batcher.peek(key)
-
-        def factory():
-            entry = prepare_entry(key, head.request.matrix, head.hardware)
-            self._metrics.record_prepare(entry.prepare_seconds)
-            if self.config.entry_transform is not None:
-                entry = self.config.entry_transform(entry)
-            tracer = obs.active()
-            if tracer.enabled:
-                # Retroactive: bounds come from the measured prepare time,
-                # so the untraced path performs no extra timing calls.
-                now = time.perf_counter()
-                tracer.record_span(
-                    "serve.prepare",
-                    parent=head.span,
-                    start_s=now - entry.prepare_seconds,
-                    end_s=now,
-                    attributes={
-                        "solver": key.solver,
-                        "digest": key.matrix_digest[:12],
-                    },
-                )
-            return entry
-
-        try:
-            return shard.cache.get_or_prepare(key, factory)
-        except Exception as exc:  # fail the whole group, keep the worker alive
-            self._record_key_failure(shard, key, breaker)
-            self._fail_key_group(shard, key, exc)
-            return None
-
-    def _expire(self, batch: list[SolveTicket]) -> list[SolveTicket]:
-        """Fail tickets whose deadline passed; return the live remainder."""
-        live = []
-        now = time.perf_counter()
-        for ticket in batch:
-            if ticket.deadline_at is not None and now >= ticket.deadline_at:
-                self._metrics.record_deadline_miss()
-                self._fail_ticket(
-                    ticket,
-                    DeadlineExceededError(
-                        f"deadline of {ticket.deadline_s:.3f}s expired "
-                        "before the request reached execution"
-                    ),
-                    now,
-                )
-            else:
-                live.append(ticket)
-        return live
-
-    def _execute(
-        self,
-        shard: _Shard,
-        entry,
-        batch: list[SolveTicket],
-        breaker: CircuitBreaker | None = None,
-    ) -> None:
-        shard.inflight = batch
-        self._metrics.record_batch(len(batch))
-        start = time.perf_counter()
-        tracer = obs.active()
-        batch_span = obs.NOOP_SPAN
-        if tracer.enabled:
-            # Queue-wait stages are retroactive (submit stamp → now), so
-            # the untraced submit path stays untouched; the batch span
-            # links its member requests by span id.
-            for ticket in batch:
-                tracer.record_span(
-                    "serve.queue",
-                    parent=ticket.span,
-                    start_s=ticket.submitted_at,
-                    end_s=start,
-                )
-            batch_span = tracer.start_span(
-                "serve.batch",
-                attributes={
-                    "size": len(batch),
-                    "solver": entry.key.solver,
-                    "shard": shard.index,
-                    "coalescible": entry.coalescible,
-                    "members": [t.span.span_id for t in batch],
-                },
-                start_s=start,
-            )
-        try:
-            if tracer.enabled:
-                # Activation (not a `with Span`): the kernel span nests
-                # under the batch, which ends later, after assembly.
-                with tracer.use_span(batch_span):
-                    results = execute_batch(
-                        entry,
-                        [t.request.b for t in batch],
-                        [t.request.seed for t in batch],
-                        lean=self.config.lean_results,
-                    )
-            else:
-                results = execute_batch(
-                    entry,
-                    [t.request.b for t in batch],
-                    [t.request.seed for t in batch],
-                    lean=self.config.lean_results,
-                )
-        except Exception as exc:
-            batch_span.fail(exc)
-            self._isolate(shard, entry, batch, breaker)
+    def _emit(self, ticket: SolveTicket, outcome, status=None) -> None:
+        """Resolve a ticket with its result, or with its error (status None)."""
+        if ticket._future.done():
+            return
+        failed = status is None
+        if failed:
+            ticket._future.set_exception(outcome)
+            ticket.span.fail(outcome)
         else:
-            solved = time.perf_counter()
-            now = time.perf_counter()
-            for ticket, result in zip(batch, results):
-                self._finish_ticket(ticket, result, now)
-            if breaker is not None:
-                breaker.record_success()
-            if tracer.enabled:
-                for ticket, result in zip(batch, results):
-                    tracer.record_span(
-                        "serve.execute",
-                        parent=ticket.span,
-                        start_s=start,
-                        end_s=solved,
-                        attributes={
-                            "batch_span": batch_span.span_id,
-                            "analog_time_s": float(
-                                getattr(result, "analog_time_s", 0.0)
-                            ),
-                        },
-                    )
-                tracer.record_span(
-                    "serve.assemble",
-                    parent=batch_span,
-                    start_s=solved,
-                    end_s=time.perf_counter(),
-                )
-                batch_span.end()
-        # Normal-path bookkeeping only: on a worker crash (BaseException)
-        # the inflight list must survive for _worker_main's rescue.
-        per_request = (time.perf_counter() - start) / len(batch)
-        shard.service_ewma_s = (
-            per_request
-            if shard.service_ewma_s == 0.0
-            else 0.8 * shard.service_ewma_s + 0.2 * per_request
-        )
-        shard.inflight = []
-
-    def _isolate(
-        self,
-        shard: _Shard,
-        entry,
-        tickets: list[SolveTicket],
-        breaker: CircuitBreaker | None,
-    ) -> None:
-        """Bisect a failed batch so only the culprit request(s) fail.
-
-        Every re-execution restarts from each request's own seed through
-        the same canonical kernel, so surviving results are bit-identical
-        to the sequential reference by construction — isolation can
-        never perturb a success, only rescue it.
-        """
-        if len(tickets) == 1:
-            ticket = tickets[0]
-            self._metrics.record_retry()
-            try:
-                result = execute_batch(
-                    entry,
-                    [ticket.request.b],
-                    [ticket.request.seed],
-                    lean=self.config.lean_results,
-                )[0]
-            except Exception as exc:
-                self._degrade_or_fail(shard, entry, ticket, exc, breaker)
-            else:
-                self._finish_ticket(ticket, result)
-                if breaker is not None:
-                    breaker.record_success()
-            return
-        mid = len(tickets) // 2
-        for half in (tickets[:mid], tickets[mid:]):
-            self._metrics.record_retry()
-            try:
-                results = execute_batch(
-                    entry,
-                    [t.request.b for t in half],
-                    [t.request.seed for t in half],
-                    lean=self.config.lean_results,
-                )
-            except Exception:
-                self._isolate(shard, entry, half, breaker)
-            else:
-                now = time.perf_counter()
-                for ticket, result in zip(half, results):
-                    self._finish_ticket(ticket, result, now)
-                if breaker is not None:
-                    breaker.record_success()
-
-    def _degrade_or_fail(
-        self,
-        shard: _Shard,
-        entry,
-        ticket: SolveTicket,
-        exc: Exception,
-        breaker: CircuitBreaker | None,
-    ) -> None:
-        """Bottom of the ladder: digital fallback if allowed, else fail."""
-        self._record_key_failure(shard, entry.key, breaker)
-        policy = self.config.resilience
-        if policy.fallback == "digital" and isinstance(exc, DEGRADABLE_ERRORS):
-            try:
-                result = digital_fallback(
-                    ticket.request, lean=self.config.lean_results
-                )
-            except Exception as fallback_exc:
-                self._fail_ticket(ticket, fallback_exc)
-                return
-            self._metrics.record_degraded()
-            self._finish_ticket(ticket, result)
-            return
-        self._fail_ticket(ticket, exc)
-
-    def _fail_key_group(self, shard: _Shard, key: PreparedKey, error) -> None:
-        """Fail every ticket pending for ``key`` with ``error``."""
-        while True:
-            group = shard.batcher.take(key)
-            if not group:
-                return
-            now = time.perf_counter()
-            for ticket in group:
-                self._fail_ticket(ticket, error, now)
-
-    def _finish_ticket(self, ticket: SolveTicket, result, now=None) -> None:
-        if ticket._future.done():
-            return
-        ticket._future.set_result(result)
-        ticket.span.end()
+            ticket._future.set_result(outcome)
+            ticket.span.end()
         self._metrics.record_done(
-            (now if now is not None else time.perf_counter()) - ticket.submitted_at
-        )
-
-    def _fail_ticket(self, ticket: SolveTicket, error, now=None) -> None:
-        if ticket._future.done():
-            return
-        ticket._future.set_exception(error)
-        ticket.span.fail(error)
-        self._metrics.record_done(
-            (now if now is not None else time.perf_counter()) - ticket.submitted_at,
-            failed=True,
+            time.perf_counter() - ticket.submitted_at, failed=failed
         )
 
     def _fail_pending(self, shard: _Shard, error=None) -> None:
         if error is None:
             error = ServiceClosedError("service aborted before this request executed")
+        batcher = shard.engine.batcher
         while True:
             # Unbounded drain: after abort/death no submits can add work,
             # so this terminates; every stranded ticket must resolve.
             try:
-                shard.batcher.add(shard.queue.get_nowait())
+                batcher.add(shard.queue.get_nowait())
             except queue.Empty:
                 pass
-            pending = shard.batcher.drain()
+            pending = batcher.drain()
             if not pending and shard.queue.empty():
                 return
-            now = time.perf_counter()
             for ticket in pending:
-                self._fail_ticket(ticket, error, now)
+                self._emit(ticket, error)
 
 
 def run_sequential(
@@ -981,7 +691,7 @@ def run_sequential(
     recorder = MetricsRecorder()
     results: list[SolveResult] = []
     for request in requests:
-        key, hardware = _resolve(request, config)
+        key, hardware = resolve_request(request, config)
         recorder.record_submit()
         start = time.perf_counter()
 

@@ -8,15 +8,13 @@ The contract under test, mirroring the module docstring:
   keeps the default path byte-identical;
 - ``numpy-f32`` computes at float32 under the documented
   :data:`~repro.core.backend.F32_TOLERANCE` relative-L1 contract;
-- the ``torch`` tier registers behind the same seam but degrades to a
-  typed :class:`~repro.errors.BackendError` when PyTorch is absent;
+- an unknown tier name (``torch`` included) raises a typed
+  :class:`~repro.errors.BackendError`;
 - ``canonical_dtype`` admits exactly two tiers: float32 stays, every
   other dtype lands at float64.
 """
 
 from __future__ import annotations
-
-import importlib.util
 
 import numpy as np
 import pytest
@@ -25,7 +23,6 @@ from repro.core.backend import (
     DEFAULT_BACKEND,
     F32_TOLERANCE,
     ArrayBackend,
-    TorchArrayBackend,
     ToleranceContract,
     available_backends,
     canonical_dtype,
@@ -36,9 +33,6 @@ from repro.core.backend import (
 from repro.core.common import FactoredSystem, inv_solve, solve_columns
 from repro.errors import BackendError, SolverError
 from repro.workloads.matrices import random_vector, wishart_matrix
-
-HAS_TORCH = importlib.util.find_spec("torch") is not None
-
 
 # ----------------------------------------------------------------------
 # canonical dtypes and LAPACK resolution
@@ -137,11 +131,13 @@ class TestRegistry:
             get_backend("cuda")
         with pytest.raises(BackendError, match="numpy-f32"):
             get_backend("nope")
+        with pytest.raises(BackendError, match="unknown array backend 'torch'"):
+            get_backend("torch")
 
     def test_available_backends_always_includes_numpy_tiers(self):
         names = available_backends()
         assert "numpy" in names and "numpy-f32" in names
-        assert ("torch" in names) == HAS_TORCH
+        assert "torch" not in names
 
     def test_register_replace_and_alias(self):
         try:
@@ -265,41 +261,3 @@ class TestFactoredSystemTiers:
             FactoredSystem(singular)
         with pytest.raises(SolverError, match="singular"):
             inv_solve(singular, np.ones(3, dtype=np.float32))
-
-
-# ----------------------------------------------------------------------
-# torch tier: present or absent, always typed
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.skipif(HAS_TORCH, reason="torch installed; absence path untestable")
-class TestTorchAbsent:
-    def test_construction_raises_typed_error(self):
-        with pytest.raises(BackendError, match="PyTorch is not installed"):
-            TorchArrayBackend()
-
-    def test_registry_propagates_and_discovery_skips(self):
-        with pytest.raises(BackendError, match="not installed"):
-            get_backend("torch")
-        with pytest.raises(BackendError):
-            get_backend("torch-f32")
-        assert "torch" not in available_backends()
-
-
-@pytest.mark.skipif(not HAS_TORCH, reason="requires PyTorch")
-class TestTorchPresent:
-    def test_cast_round_trips_tensors(self):
-        import torch
-
-        backend = get_backend("torch")
-        assert backend.dtype == np.dtype(np.float32)
-        t = torch.arange(4, dtype=torch.float64)
-        a = backend.cast(t)
-        assert isinstance(a, np.ndarray) and a.dtype == np.float32
-        back = backend.tensor(a)
-        assert isinstance(back, torch.Tensor)
-        assert np.array_equal(backend.to_numpy(back), a)
-
-    def test_solves_stay_on_scipy_lapack(self):
-        backend = get_backend("torch")
-        assert backend.lapack() is lapack_solvers(np.float32)

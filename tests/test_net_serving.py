@@ -16,6 +16,7 @@ The load-bearing guarantees, mirroring the acceptance criteria:
 
 from __future__ import annotations
 
+import json
 import socket
 
 import numpy as np
@@ -35,7 +36,7 @@ from repro.errors import (
     error_to_wire,
     is_retryable,
 )
-from repro.serve import ResiliencePolicy, ServiceConfig, run_sequential
+from repro.serve import ResiliencePolicy, ServiceConfig, SolveRequest, run_sequential
 from repro.serve.net import (
     AttachedBlock,
     BlockRef,
@@ -58,7 +59,14 @@ from repro.serve.net.protocol import (
 )
 from repro.serve.net.quotas import ANONYMOUS_TENANT
 from repro.testing.chaos import CHAOS_ENV, ChaosPlan
+from repro.workloads.matrices import wishart_matrix
 from repro.workloads.traffic import drive_network, mixed_traffic
+
+
+def _raw_body(header: dict) -> bytes:
+    """A frame body with ``header`` verbatim (encode_frame rewrites blobs)."""
+    head = json.dumps(header).encode()
+    return len(head).to_bytes(4, "big") + head
 
 
 def _requests(n=16, unique=3, sizes=(12, 16), seed=0, **kwargs):
@@ -114,10 +122,22 @@ class TestWireProtocol:
         # trailing bytes not covered by any declared blob
         with pytest.raises(WireProtocolError, match="trailing"):
             decode_frame(encode_frame({"type": "x"})[4:] + b"zz")
+        # a blob-length list that is not a list, or holds a bool
+        with pytest.raises(WireProtocolError, match="list of lengths"):
+            decode_frame(_raw_body({"type": "x", "blobs": 5}))
+        with pytest.raises(WireProtocolError, match="list of lengths"):
+            decode_frame(_raw_body({"type": "x", "blobs": None}))
+        with pytest.raises(WireProtocolError, match="overrun"):
+            decode_frame(_raw_body({"type": "x", "blobs": [True]}) + b"z")
 
     def test_array_from_bytes_validates_byte_count(self):
         with pytest.raises(WireProtocolError, match="expected"):
             array_from_bytes(b"\x00" * 24, (4,))
+        for shape in [(-1, -1), (True,), ("a",), [1]]:
+            with pytest.raises(WireProtocolError, match="shape"):
+                array_from_bytes(b"\x00" * 8, shape)
+        with pytest.raises(WireProtocolError, match="dtype"):
+            array_from_bytes(b"\x00" * 8, (1,), ["float64"])
 
     def test_recv_frame_rejects_hostile_length_prefix(self):
         a, b = socket.socketpair()
@@ -383,6 +403,37 @@ class TestNetServing:
             finally:
                 sock.close()
 
+    def test_untyped_header_fields_answer_typed_errors(self):
+        with NetServer(_server_config(workers=1)) as server:
+            host, port = server.address
+            sock = socket.create_connection((host, port), timeout=30.0)
+            try:
+                # "n": true is not a size, even though the one-float blob
+                # would match n == 1: a typed request error, connection kept.
+                sock.sendall(
+                    encode_frame(
+                        {"type": "solve", "id": 3, "n": True, "digest": "f" * 64},
+                        [array_to_bytes(np.ones(1))],
+                    )
+                )
+                response, _ = recv_frame(sock)
+                assert response["type"] == "error" and response["id"] == 3
+                assert isinstance(
+                    error_from_wire(response["error"]), WireProtocolError
+                )
+                # A non-list blob-length field breaks framing: typed error
+                # frame first, then the server hangs up.
+                body = _raw_body({"type": "ping", "id": 4, "blobs": 5})
+                sock.sendall(len(body).to_bytes(4, "big") + body)
+                response, _ = recv_frame(sock)
+                assert response["type"] == "error" and response["id"] is None
+                assert isinstance(
+                    error_from_wire(response["error"]), WireProtocolError
+                )
+                assert recv_frame(sock) is None
+            finally:
+                sock.close()
+
     def test_broken_framing_answers_typed_then_hangs_up(self):
         with NetServer(_server_config(workers=1)) as server:
             host, port = server.address
@@ -498,6 +549,61 @@ class TestNetChaos:
             assert np.array_equal(outcome.x, ref.x)
         assert metrics.shard_crashes >= 1
         assert plan.injected("kill") >= 1
+
+    def test_queued_job_survives_matrix_eviction(self):
+        """A job holds its matrix from admission: evicting the digest from
+        the worker's matrix table while the job is queued must not fail it."""
+        import queue
+
+        from repro.serve.net.workers import WorkItem, _WorkerState
+
+        requests = [
+            SolveRequest(matrix=wishart_matrix(8, rng=i), b=np.ones(8), seed=i)
+            for i in range(3)
+        ]
+        config = ServiceConfig(workers=1, max_linger_s=0.0)
+        reference, _ = run_sequential(requests, config)
+        responses: queue.Queue = queue.Queue()
+        state = _WorkerState(config, queue.Queue(), responses)
+        state.matrix_capacity = 1
+        for i, r in enumerate(requests):
+            state._admit(
+                WorkItem(id=i, digest=r.digest, b=r.b, matrix=r.matrix, seed=r.seed)
+            )
+        # The first two digests were evicted while their jobs were queued.
+        assert list(state.matrices) == [requests[-1].digest]
+        while len(state.engine.batcher):
+            state._serve(state.engine.batcher.next_key())
+        for _ in requests:
+            msg = responses.get_nowait()
+            assert msg.status == "ok"
+            x, _ = AttachedBlock(msg.block).row(msg.row)  # one row per block
+            assert np.array_equal(x, reference[msg.id].x)
+
+    def test_degraded_answers_counted_once(self, monkeypatch):
+        """Every analog solve fails: the digital ladder answers each
+        request, and the worker's counter deltas count each exactly once."""
+        plan = ChaosPlan(seed=0, solve_failure_rate=1.0)
+        monkeypatch.setenv(CHAOS_ENV, list(plan.chaos_env().values())[0])
+        requests = _requests(n=5, unique=1, sizes=(12,), seed=2)
+        service = ServiceConfig(
+            workers=1,
+            max_batch_size=4,
+            resilience=ResiliencePolicy(breaker_threshold=0, fallback="digital"),
+        )
+        with NetServer(NetServerConfig(service=service)) as server:
+            host, port = server.address
+            with NetClient(host, port) as client:
+                tickets = [client.submit_request(r) for r in requests]
+                results = [t.result(60.0) for t in tickets]
+                metrics = client.metrics()
+        monkeypatch.delenv(CHAOS_ENV)
+        assert [t.status for t in tickets] == ["degraded"] * len(requests)
+        for request, result in zip(requests, results):
+            assert result.solver == "digital-fallback"
+            assert np.allclose(request.matrix @ result.x, request.b)
+        assert metrics.degraded == len(requests)
+        assert metrics.requests_failed == 0
 
 
 # ----------------------------------------------------------------------
