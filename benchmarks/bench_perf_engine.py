@@ -47,7 +47,6 @@ SWEEP_TRIALS = 3
 MIN_EXACT_SPEEDUP = 6.0
 MIN_SWEEP_SPEEDUP = 2.0
 MIN_SOLVE_MANY_SPEEDUP = 4.0
-MIN_ASSEMBLY_SPEEDUP = 1.25
 #: The ISSUE-5 acceptance floor: a >= 32-RHS multi-stage batch must beat
 #: the sequential solve loop by at least 3x (measured ~20x at merge).
 MIN_MULTISTAGE_SPEEDUP = 3.0
@@ -247,55 +246,6 @@ def test_multistage_solve_many_32rhs(report):
     assert speedup >= MIN_MULTISTAGE_SPEEDUP
 
 
-def test_netlist_assembly(report):
-    """Bulk-append netlist assembly vs the cell-by-cell reference.
-
-    The MVM ladder netlist (two arrays, explicit wire segments) is the
-    ROADMAP's ~130k-object case at 256x256; the bench runs 128x128
-    (quick) / 256x256 (paper scale) and requires the bulk path — flat
-    comprehensions + cached structure templates + one-pass element
-    registration — to beat the scalar builders while producing an
-    element-for-element identical netlist.
-    """
-    n = 128 if not paper_scale() else 256
-    rng = np.random.default_rng(11)
-    g_pos = rng.uniform(1e-6, 1e-4, size=(n, n))
-    g_neg = rng.uniform(1e-6, 1e-4, size=(n, n))
-    v_in = rng.uniform(-1.0, 1.0, size=n)
-
-    bulk_c, bulk_out = build_mvm_circuit(g_pos, g_neg, v_in, 1e-4, r_wire=1.0, bulk=True)
-    loop_c, loop_out = build_mvm_circuit(g_pos, g_neg, v_in, 1e-4, r_wire=1.0, bulk=False)
-    assert bulk_out == loop_out
-    assert bulk_c.elements == loop_c.elements
-
-    old_s = time_call(
-        lambda: build_mvm_circuit(g_pos, g_neg, v_in, 1e-4, r_wire=1.0, bulk=False),
-        repeats=2,
-    )
-    new_s = time_call(
-        lambda: build_mvm_circuit(g_pos, g_neg, v_in, 1e-4, r_wire=1.0, bulk=True),
-        repeats=3,
-    )
-    speedup = _report.add(
-        f"netlist_assembly_mvm_{n}x{n}",
-        old_s,
-        new_s,
-        detail=(
-            f"{len(bulk_c)}-element MVM ladder netlist: cell-by-cell builders "
-            "vs bulk-append + cached structure templates"
-        ),
-    )
-    report(
-        "perf_netlist_assembly",
-        format_table(
-            ["path", "ms"],
-            [["cell-by-cell (reference)", old_s * 1e3], ["bulk-append", new_s * 1e3]],
-            title=f"MVM netlist assembly {n}x{n} — {speedup:.1f}x",
-        ),
-    )
-    assert speedup >= MIN_ASSEMBLY_SPEEDUP
-
-
 def test_netlist_assembly_columnar(report):
     """Columnar struct-of-arrays pipeline vs the cell-by-cell reference.
 
@@ -314,9 +264,7 @@ def test_netlist_assembly_columnar(report):
     v_in = rng.uniform(-1.0, 1.0, size=n)
 
     def reference():
-        circuit, _ = build_mvm_circuit(
-            g_pos, g_neg, v_in, 1e-4, r_wire=1.0, bulk=False
-        )
+        circuit, _ = build_mvm_circuit(g_pos, g_neg, v_in, 1e-4, r_wire=1.0)
         return assemble_mna(circuit)
 
     def columnar():

@@ -96,20 +96,41 @@ def decode_variation(payload: dict):
             f"variation override must be {{'kind': ..., params}}, got {payload!r}"
         )
     kind = payload["kind"]
-    if kind not in VARIATION_KINDS:
+    if not isinstance(kind, str) or kind not in VARIATION_KINDS:
         raise CampaignError(
             f"unknown variation kind {kind!r}; available: {sorted(VARIATION_KINDS)}"
         )
     params = {k: v for k, v in payload.items() if k != "kind"}
-    return VARIATION_KINDS[kind](**params)
+    try:
+        return VARIATION_KINDS[kind](**params)
+    except (TypeError, ValueError) as exc:
+        raise CampaignError(f"variation {kind!r}: {exc}") from None
+
+
+def _check_field(obj, head: str, path: str) -> None:
+    if not dataclasses.is_dataclass(obj) or head not in {
+        f.name for f in dataclasses.fields(obj)
+    }:
+        raise CampaignError(
+            f"override path {path!r} does not resolve on {type(obj).__name__}"
+        )
+
+
+def _check_override(config: HardwareConfig, path: str, value) -> None:
+    """Refuse an override whose path names no config field, or whose
+    variation payload the codec cannot decode. Value ranges are the
+    config's own checks, made when a variant is resolved."""
+    obj = config
+    for head in path.split("."):
+        _check_field(obj, head, path)
+        obj = getattr(obj, head)
+    if head == "variation":
+        decode_variation(value)
 
 
 def _replace_path(obj, path: str, value):
     head, _, rest = path.partition(".")
-    if not dataclasses.is_dataclass(obj) or not hasattr(obj, head):
-        raise CampaignError(
-            f"override path {path!r} does not resolve on {type(obj).__name__}"
-        )
+    _check_field(obj, head, path)
     if rest:
         value = _replace_path(getattr(obj, head), rest, value)
     elif head == "variation":
@@ -138,6 +159,17 @@ class HardwareVariant:
     label: str
     overrides: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise CampaignError(f"variant label must be a string, got {self.label!r}")
+        if not isinstance(self.overrides, dict) or not all(
+            isinstance(path, str) for path in self.overrides
+        ):
+            raise CampaignError(
+                f"variant {self.label!r}: overrides must map dotted paths "
+                f"to values, got {self.overrides!r}"
+            )
+
     def resolve(self, base: str) -> HardwareConfig:
         """Build the concrete config: base factory plus this variant."""
         if base not in BASE_HARDWARE:
@@ -149,6 +181,34 @@ class HardwareVariant:
 
 def _canonical_json(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _is_int(value) -> bool:
+    """An integer, and not a bool (JSON ``true`` is not a count)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _names(value, key: str) -> tuple:
+    """A non-empty list of strings, as a tuple."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise CampaignError(f"{key} must be a non-empty list, got {value!r}")
+    for item in value:
+        if not isinstance(item, str):
+            raise CampaignError(f"{key} must hold strings, got {item!r}")
+    return tuple(value)
+
+
+def _variant(value) -> HardwareVariant:
+    if isinstance(value, HardwareVariant):
+        return value
+    if not isinstance(value, dict) or "label" not in value:
+        raise CampaignError(
+            f"a variant must be {{'label': ..., 'overrides': ...}}, got {value!r}"
+        )
+    unknown = set(value) - {"label", "overrides"}
+    if unknown:
+        raise CampaignError(f"unknown variant keys {sorted(unknown)}")
+    return HardwareVariant(**value)
 
 
 @dataclass(frozen=True)
@@ -209,41 +269,59 @@ class CampaignSpec:
         from repro.serve.cache import SOLVER_KINDS
         from repro.workloads.traffic import TRAFFIC_FAMILIES
 
+        if not isinstance(self.name, str) or not self.name:
+            raise CampaignError(f"name must be a non-empty string, got {self.name!r}")
+        if not isinstance(self.title, str):
+            raise CampaignError(f"title must be a string, got {self.title!r}")
         if self.mode not in MODES:
             raise CampaignError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.hardware not in BASE_HARDWARE:
+        if not isinstance(self.hardware, str) or self.hardware not in BASE_HARDWARE:
             raise CampaignError(
                 f"unknown base hardware {self.hardware!r}; "
                 f"available: {sorted(BASE_HARDWARE)}"
             )
-        if not self.solvers or not self.families or not self.sizes:
-            raise CampaignError("solvers, families, and sizes must be non-empty")
-        for solver in self.solvers:
+        solvers = _names(self.solvers, "solvers")
+        for solver in solvers:
             if solver not in SOLVER_KINDS:
                 raise CampaignError(
                     f"unknown solver kind {solver!r}; available: {sorted(SOLVER_KINDS)}"
                 )
-        for family in self.families:
+        families = _names(self.families, "families")
+        for family in families:
             if family not in TRAFFIC_FAMILIES:
                 raise CampaignError(
                     f"unknown family {family!r}; available: {sorted(TRAFFIC_FAMILIES)}"
                 )
-        if self.trials < 1:
-            raise CampaignError(f"trials must be >= 1, got {self.trials}")
+        if not isinstance(self.sizes, (list, tuple)) or not self.sizes:
+            raise CampaignError(f"sizes must be a non-empty list, got {self.sizes!r}")
+        for size in self.sizes:
+            if not _is_int(size) or size < 1:
+                raise CampaignError(f"sizes must be integers >= 1, got {size!r}")
+        if not _is_int(self.trials) or self.trials < 1:
+            raise CampaignError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise CampaignError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if not isinstance(self.backend, str):
+            raise CampaignError(f"backend must be a name, got {self.backend!r}")
         try:
             get_backend(self.backend)
         except BackendError as exc:
             raise CampaignError(str(exc)) from None
+        if not isinstance(self.variants, (list, tuple)):
+            raise CampaignError(f"variants must be a list, got {self.variants!r}")
         variants = tuple(
-            v if isinstance(v, HardwareVariant) else HardwareVariant(**v)
-            for v in (self.variants or (HardwareVariant("base"),))
+            _variant(v) for v in (self.variants or (HardwareVariant("base"),))
         )
         labels = [v.label for v in variants]
         if len(set(labels)) != len(labels):
             raise CampaignError(f"variant labels must be unique, got {labels}")
+        base = BASE_HARDWARE[self.hardware]()
+        for variant in variants:
+            for path, value in variant.overrides.items():
+                _check_override(base, path, value)
         object.__setattr__(self, "variants", variants)
-        object.__setattr__(self, "solvers", tuple(self.solvers))
-        object.__setattr__(self, "families", tuple(self.families))
+        object.__setattr__(self, "solvers", solvers)
+        object.__setattr__(self, "families", families)
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
 
     # ------------------------------------------------------------------
@@ -276,15 +354,20 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CampaignSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
-        payload = dict(payload)
-        payload["variants"] = tuple(
-            HardwareVariant(v["label"], dict(v.get("overrides", {})))
-            for v in payload.get("variants", [])
-        )
-        for key in ("solvers", "families", "sizes"):
-            if key in payload:
-                payload[key] = tuple(payload[key])
+        """Rebuild a spec from :meth:`to_dict` output.
+
+        A malformed payload raises :class:`CampaignError`, never a bare
+        ``TypeError``/``KeyError``/``ValueError``.
+        """
+        if not isinstance(payload, dict):
+            raise CampaignError(
+                f"campaign spec must be an object, got {type(payload).__name__}"
+            )
+        unknown = set(payload) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise CampaignError(f"unknown campaign spec keys {sorted(unknown)}")
+        if "name" not in payload:
+            raise CampaignError("campaign spec has no name")
         return cls(**payload)
 
     def digest(self) -> str:

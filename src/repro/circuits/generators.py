@@ -6,6 +6,12 @@ segment resistances, and either ideal or finite-gain op-amps. They are the
 ground truth the fast algebraic models in :mod:`repro.amc` are validated
 against (the same role HSPICE plays in the paper).
 
+Each circuit has two builders that assemble bit-identical MNA systems:
+the object netlist (:class:`Circuit`, the default), appended element by
+element through the scalar builders and used as the test oracle, and
+the struct-of-arrays :class:`ColumnarCircuit` (``columnar=True``), the
+fast path production solves use.
+
 Geometry convention matches :mod:`repro.crossbar.parasitics`: BL drivers
 sit at row 0 of each column, WL amplifiers at column 0 of each row.
 """
@@ -24,34 +30,24 @@ from repro.utils.validation import check_matrix, check_positive, check_vector
 
 @lru_cache(maxsize=8)
 def _array_strings(prefix: str, rows: int, cols: int) -> dict:
-    """Structure template: every node/element name of one array's wiring.
+    """Structure template: the ladder node names of one array's wiring.
 
     The names depend only on the array geometry, never on conductance
-    values, so one template serves every netlist of the same shape —
-    repeated builds (Monte-Carlo MNA validation, the serving hot path)
-    skip ~5 f-string constructions per cell. Tuples, so a template can
-    never be mutated by a caller.
+    values, so one template serves every columnar netlist of the same
+    shape — repeated builds (Monte-Carlo MNA validation, the serving
+    hot path) skip one f-string construction per ladder node. Tuples,
+    so a template can never be mutated by a caller.
 
-    Layout: ``b_nodes``/``rb_names`` are column-major (index
-    ``j * rows + i``), ``w_nodes``/``rw_names``/``g_names`` row-major
-    (index ``i * cols + j``), matching the insertion order of
-    :func:`_add_array_loop`.
+    Layout: ``b_nodes`` is column-major (index ``j * rows + i``),
+    ``w_nodes`` row-major (index ``i * cols + j``), matching the
+    insertion order of :func:`_add_array`.
     """
     return {
         "b_nodes": tuple(
             f"{prefix}_b_{i}_{j}" for j in range(cols) for i in range(rows)
         ),
-        "rb_names": tuple(
-            f"{prefix}_rb_{i}_{j}" for j in range(cols) for i in range(rows)
-        ),
         "w_nodes": tuple(
             f"{prefix}_w_{i}_{j}" for i in range(rows) for j in range(cols)
-        ),
-        "rw_names": tuple(
-            f"{prefix}_rw_{i}_{j}" for i in range(rows) for j in range(cols)
-        ),
-        "g_names": tuple(
-            f"{prefix}_g_{i}_{j}" for i in range(rows) for j in range(cols)
         ),
     }
 
@@ -68,74 +64,9 @@ def _add_array(
 
     With ``r_wire == 0`` cells connect driver and collector nodes
     directly; otherwise explicit ladder nodes are created per cell.
-    Elements land through the bulk-append netlist API: cell positions
-    come from one ``np.nonzero``, node/name strings from flat
-    comprehensions, and the circuit registers each element class in a
-    single pass (the cell-by-cell reference path is kept as
-    :func:`_add_array_loop` and timed against this one by
-    ``benchmarks/bench_perf_engine.py``).
-    """
-    rows, cols = g.shape
-    ii, jj = np.nonzero(g > 0.0)
-    # Python-native ints/floats: f-string formatting and float() on
-    # NumPy scalars cost ~10x their native equivalents at this volume.
-    cells = list(zip(ii.tolist(), jj.tolist()))
-    values = g[ii, jj].tolist()
-    names = _array_strings(prefix, rows, cols)
-    g_names = names["g_names"]
-    if r_wire == 0.0:
-        circuit.conductors(
-            [bl_drive_nodes[j] for _, j in cells],
-            [wl_collect_nodes[i] for i, _ in cells],
-            values,
-            [g_names[i * cols + j] for i, j in cells],
-        )
-        return
-
-    b_nodes, w_nodes = names["b_nodes"], names["w_nodes"]
-    # Column (BL) ladder: drive node -> b_0 -> b_1 -> ... per column.
-    circuit.resistors(
-        [
-            bl_drive_nodes[j] if i == 0 else b_nodes[j * rows + i - 1]
-            for j in range(cols)
-            for i in range(rows)
-        ],
-        b_nodes,
-        [r_wire] * (rows * cols),
-        names["rb_names"],
-    )
-    # Row (WL) ladder: collect node -> w_0 -> w_1 -> ... per row.
-    circuit.resistors(
-        [
-            wl_collect_nodes[i] if j == 0 else w_nodes[i * cols + j - 1]
-            for i in range(rows)
-            for j in range(cols)
-        ],
-        w_nodes,
-        [r_wire] * (rows * cols),
-        names["rw_names"],
-    )
-    circuit.conductors(
-        [b_nodes[j * rows + i] for i, j in cells],
-        [w_nodes[i * cols + j] for i, j in cells],
-        values,
-        [g_names[i * cols + j] for i, j in cells],
-    )
-
-
-def _add_array_loop(
-    circuit: Circuit,
-    g: np.ndarray,
-    prefix: str,
-    bl_drive_nodes: list[str],
-    wl_collect_nodes: list[str],
-    r_wire: float,
-) -> None:
-    """Cell-by-cell reference implementation of :func:`_add_array`.
-
-    Appends every element through the scalar netlist builders, exactly
-    as the original generator did. Kept so the bulk path has an
-    in-repo equivalence oracle and a timing baseline.
+    Every element goes through the scalar netlist builders, cell by
+    cell: this object netlist is the readable oracle the columnar path
+    is checked against, not a fast path.
     """
     rows, cols = g.shape
     if r_wire == 0.0:
@@ -143,7 +74,10 @@ def _add_array_loop(
             for j in range(cols):
                 if g[i, j] > 0.0:
                     circuit.conductor(
-                        bl_drive_nodes[j], wl_collect_nodes[i], g[i, j], f"{prefix}_g_{i}_{j}"
+                        bl_drive_nodes[j],
+                        wl_collect_nodes[i],
+                        float(g[i, j]),
+                        f"{prefix}_g_{i}_{j}",
                     )
         return
 
@@ -163,7 +97,10 @@ def _add_array_loop(
         for j in range(cols):
             if g[i, j] > 0.0:
                 circuit.conductor(
-                    f"{prefix}_b_{i}_{j}", f"{prefix}_w_{i}_{j}", g[i, j], f"{prefix}_g_{i}_{j}"
+                    f"{prefix}_b_{i}_{j}",
+                    f"{prefix}_w_{i}_{j}",
+                    float(g[i, j]),
+                    f"{prefix}_g_{i}_{j}",
                 )
 
 
@@ -180,7 +117,7 @@ def _add_array_columnar(
     Ladder connectivity is expressed directly on interned node-id
     arrays — the drive column is prepended and the grid shifted by one —
     so no per-cell Python work happens at all. Runs land in the same
-    order as the bulk object path (BL ladder, WL ladder, cells) and each
+    order as the object path (BL ladder, WL ladder, cells) and each
     run's internal order matches element order there, so the assembled
     matrix is bit-identical.
     """
@@ -230,7 +167,7 @@ def _offset_ids(
 
 
 def _offset_nodes(
-    circuit: Circuit, offsets: np.ndarray | None, rows: int, bulk: bool = True
+    circuit: Circuit, offsets: np.ndarray | None, rows: int
 ) -> list[str]:
     """Non-inverting input nodes: ground, or offset sources when given.
 
@@ -241,11 +178,8 @@ def _offset_nodes(
         return ["0"] * rows
     offsets = check_vector(offsets, "offsets", size=rows)
     nodes = [f"vos_{i}" for i in range(rows)]
-    if bulk:
-        circuit.vsources(nodes, ["0"] * rows, offsets, [f"Vos_{i}" for i in range(rows)])
-    else:
-        for i in range(rows):
-            circuit.vsource(nodes[i], "0", float(offsets[i]), f"Vos_{i}")
+    for i in range(rows):
+        circuit.vsource(nodes[i], "0", float(offsets[i]), f"Vos_{i}")
     return nodes
 
 
@@ -258,7 +192,6 @@ def build_mvm_circuit(
     r_wire: float = 0.0,
     opamp_gain: float | None = None,
     offsets: np.ndarray | None = None,
-    bulk: bool = True,
     columnar: bool = False,
 ) -> tuple[Circuit | ColumnarCircuit, list[str]]:
     """Build the MVM circuit of Fig. 1(a) with a dual array pair.
@@ -281,16 +214,13 @@ def build_mvm_circuit(
         Wire segment resistance (ohm); 0 disables the ladder.
     opamp_gain:
         Finite open-loop gain; ``None`` for ideal op-amps.
-    bulk:
-        Assemble through the bulk-append netlist API (default). The
-        cell-by-cell path (``False``) produces an element-for-element
-        identical netlist and exists as the equivalence/timing
-        reference.
     columnar:
         Build a struct-of-arrays :class:`ColumnarCircuit` instead of an
-        object netlist (``bulk`` is then irrelevant). The assembled MNA
-        system is bit-identical to the object path's; assembly is an
-        order of magnitude faster for large ladders.
+        object netlist. The assembled MNA system is bit-identical to the
+        object path's; assembly is an order of magnitude faster for
+        large ladders. The object netlist (default) is built cell by
+        cell and is the oracle the columnar path is tested against; it
+        alone accepts a complex ``opamp_gain`` (AC analysis).
 
     Returns
     -------
@@ -313,29 +243,19 @@ def build_mvm_circuit(
     circuit = Circuit("mvm")
     pos_drivers = [f"drv_p_{j}" for j in range(cols)]
     neg_drivers = [f"drv_n_{j}" for j in range(cols)]
-    if bulk:
-        # Interleaved (Vp_j, Vn_j) per column, matching the loop order.
-        circuit.vsources(
-            [node for j in range(cols) for node in (pos_drivers[j], neg_drivers[j])],
-            ["0"] * (2 * cols),
-            [value for j in range(cols) for value in (v_in[j], -v_in[j])],
-            [name for j in range(cols) for name in (f"Vp_{j}", f"Vn_{j}")],
-        )
-    else:
-        for j in range(cols):
-            circuit.vsource(pos_drivers[j], "0", float(v_in[j]), f"Vp_{j}")
-            circuit.vsource(neg_drivers[j], "0", float(-v_in[j]), f"Vn_{j}")
+    for j in range(cols):
+        circuit.vsource(pos_drivers[j], "0", float(v_in[j]), f"Vp_{j}")
+        circuit.vsource(neg_drivers[j], "0", float(-v_in[j]), f"Vn_{j}")
 
     sum_nodes = [f"sum_{i}" for i in range(rows)]
     out_nodes = [f"out_{i}" for i in range(rows)]
-    noninv = _offset_nodes(circuit, offsets, rows, bulk=bulk)
+    noninv = _offset_nodes(circuit, offsets, rows)
     for i in range(rows):
         circuit.opamp(sum_nodes[i], noninv[i], out_nodes[i], gain=opamp_gain, name=f"A_{i}")
         circuit.conductor(out_nodes[i], sum_nodes[i], g_feedback, f"Rf_{i}")
 
-    add_array = _add_array if bulk else _add_array_loop
-    add_array(circuit, g_pos, "p", pos_drivers, sum_nodes, r_wire)
-    add_array(circuit, g_neg, "n", neg_drivers, sum_nodes, r_wire)
+    _add_array(circuit, g_pos, "p", pos_drivers, sum_nodes, r_wire)
+    _add_array(circuit, g_neg, "n", neg_drivers, sum_nodes, r_wire)
     return circuit, out_nodes
 
 
@@ -401,7 +321,6 @@ def build_inv_circuit(
     r_wire: float = 0.0,
     opamp_gain: float | None = None,
     offsets: np.ndarray | None = None,
-    bulk: bool = True,
     columnar: bool = False,
 ) -> tuple[Circuit | ColumnarCircuit, list[str]]:
     """Build the INV circuit of Fig. 1(b) with a dual array pair.
@@ -434,7 +353,7 @@ def build_inv_circuit(
     circuit = Circuit("inv")
     sum_nodes = [f"sum_{i}" for i in range(rows)]
     out_nodes = [f"out_{i}" for i in range(rows)]
-    noninv = _offset_nodes(circuit, offsets, rows, bulk=bulk)
+    noninv = _offset_nodes(circuit, offsets, rows)
 
     for i in range(rows):
         circuit.vsource(f"in_{i}", "0", float(v_in[i]), f"Vin_{i}")
@@ -446,9 +365,8 @@ def build_inv_circuit(
     for j in range(cols):
         circuit.vcvs(ninv_nodes[j], "0", "0", out_nodes[j], 1.0, f"Einv_{j}")
 
-    add_array = _add_array if bulk else _add_array_loop
-    add_array(circuit, g_pos, "p", out_nodes, sum_nodes, r_wire)
-    add_array(circuit, g_neg, "n", ninv_nodes, sum_nodes, r_wire)
+    _add_array(circuit, g_pos, "p", out_nodes, sum_nodes, r_wire)
+    _add_array(circuit, g_neg, "n", ninv_nodes, sum_nodes, r_wire)
     return circuit, out_nodes
 
 

@@ -149,116 +149,6 @@ class Circuit:
             Resistor(name, canonical_node(a), canonical_node(b), resistance), auto
         )
 
-    # ------------------------------------------------------------------
-    # bulk builders
-    # ------------------------------------------------------------------
-    def _bulk_add(self, elements: list) -> list:
-        """Register many pre-built elements in one name-set pass.
-
-        The per-element builders pay a set lookup, a method call, and a
-        name registration each; netlist generators appending tens of
-        thousands of elements (a 256x256 MVM ladder is ~130k) go through
-        here instead: one duplicate check over the new names, one set
-        union, one list extend.
-        """
-        new_names = [element.name for element in elements]
-        name_set = set(new_names)
-        if len(name_set) != len(new_names):
-            seen: set[str] = set()
-            for name in new_names:
-                if name in seen:
-                    raise CircuitError(f"duplicate element name {name!r}")
-                seen.add(name)
-        clash = name_set & self._names
-        if clash:
-            raise CircuitError(f"duplicate element name {sorted(clash)[0]!r}")
-        self._names |= name_set
-        self._elements.extend(elements)
-        return elements
-
-    @staticmethod
-    def _check_bulk_nodes(nodes) -> list[str]:
-        canonical = []
-        append = canonical.append
-        for node in nodes:
-            if not isinstance(node, str) or not node:
-                raise CircuitError(f"node names must be non-empty strings, got {node!r}")
-            append("0" if node in _GROUND_SET else node)
-        return canonical
-
-    @staticmethod
-    def _make_two_terminal(cls, fields: tuple[str, str, str], names, a_nodes, b_nodes, values) -> list:
-        # Elements are plain (frozen, non-slots) dataclasses, so building
-        # them via object.__new__ + direct __dict__ stores skips the
-        # per-element __init__/__post_init__ machinery; the bulk callers
-        # re-impose the same invariants in one vectorized pass first.
-        # ``fields`` names the (first node, second node, value) fields.
-        node_a, node_b, value_field = fields
-        elements = []
-        append = elements.append
-        new = object.__new__
-        for name, a, b, value in zip(names, a_nodes, b_nodes, values):
-            element = new(cls)
-            d = element.__dict__
-            d["name"] = name
-            d[node_a] = a
-            d[node_b] = b
-            d[value_field] = value
-            append(element)
-        return elements
-
-    def resistors(self, a_nodes, b_nodes, resistances, names) -> list[Resistor]:
-        """Bulk-append resistors (parallel sequences, equal length)."""
-        resistances = [float(r) for r in resistances]
-        names = list(names)
-        a_nodes = self._check_bulk_nodes(a_nodes)
-        b_nodes = self._check_bulk_nodes(b_nodes)
-        if not len(names) == len(a_nodes) == len(b_nodes) == len(resistances):
-            raise CircuitError("bulk resistor argument lengths differ")
-        for name, r in zip(names, resistances):
-            if not r > 0.0:
-                raise CircuitError(
-                    f"resistor {name}: resistance must be > 0, got {r}"
-                )
-        return self._bulk_add(
-            self._make_two_terminal(
-                Resistor, ("a", "b", "resistance"), names, a_nodes, b_nodes, resistances
-            )
-        )
-
-    def conductors(self, a_nodes, b_nodes, conductances, names) -> list[Resistor]:
-        """Bulk-append resistors specified by conductance (siemens)."""
-        resistances = []
-        for g in conductances:
-            g = float(g)
-            if not g > 0.0:
-                raise CircuitError(f"conductance must be > 0, got {g}")
-            resistances.append(1.0 / g)
-        names = list(names)
-        a_nodes = self._check_bulk_nodes(a_nodes)
-        b_nodes = self._check_bulk_nodes(b_nodes)
-        if not len(names) == len(a_nodes) == len(b_nodes) == len(resistances):
-            raise CircuitError("bulk conductor argument lengths differ")
-        return self._bulk_add(
-            self._make_two_terminal(
-                Resistor, ("a", "b", "resistance"), names, a_nodes, b_nodes, resistances
-            )
-        )
-
-    def vsources(self, plus_nodes, minus_nodes, values, names) -> list[VoltageSource]:
-        """Bulk-append independent voltage sources."""
-        values = [float(v) for v in values]
-        names = list(names)
-        plus_nodes = self._check_bulk_nodes(plus_nodes)
-        minus_nodes = self._check_bulk_nodes(minus_nodes)
-        if not len(names) == len(plus_nodes) == len(minus_nodes) == len(values):
-            raise CircuitError("bulk vsource argument lengths differ")
-        return self._bulk_add(
-            self._make_two_terminal(
-                VoltageSource, ("plus", "minus", "value"), names, plus_nodes, minus_nodes, values
-            )
-        )
-
     def capacitor(self, a: str, b: str, capacitance: float, name: str | None = None) -> Capacitor:
         """Add a capacitor between nodes ``a`` and ``b``."""
         name, auto = self._reserve(name, "C")

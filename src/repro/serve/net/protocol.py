@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import struct
 from typing import Sequence
 
@@ -140,13 +141,18 @@ def array_from_bytes(blob, shape: tuple[int, ...], dtype: str = "float64") -> np
         )
     if not isinstance(shape, tuple) or not all(_is_count(d) for d in shape):
         raise WireProtocolError(f"invalid array shape {shape!r}")
-    expected = int(np.prod(shape)) * dt.itemsize
+    # Python integers: np.prod would wrap a hostile shape to a small size.
+    expected = math.prod(int(d) for d in shape) * dt.itemsize
     if len(blob) != expected:
         raise WireProtocolError(
             f"binary block holds {len(blob)} bytes, expected {expected} "
             f"for {dt.name} shape {shape}"
         )
-    return np.frombuffer(bytes(blob), dtype=dt).reshape(shape)
+    try:
+        return np.frombuffer(bytes(blob), dtype=dt).reshape(shape)
+    except (ValueError, OverflowError) as exc:
+        # An empty block with a zero extent next to one NumPy cannot index.
+        raise WireProtocolError(f"invalid array shape {shape!r}: {exc}") from None
 
 
 def _is_count(value) -> bool:
@@ -192,7 +198,9 @@ def decode_frame(body: bytes) -> tuple[dict, list[memoryview]]:
         )
     try:
         header = json.loads(body[4 : 4 + head_len].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and integers past the
+        # interpreter's digit limit; RecursionError a hostile nesting depth.
         raise WireProtocolError(f"frame header is not valid JSON: {exc}") from None
     if not isinstance(header, dict):
         raise WireProtocolError(f"frame header must be an object, got {type(header).__name__}")

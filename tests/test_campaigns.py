@@ -29,6 +29,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.amc.config import HardwareConfig
 from repro.analysis.accuracy import run_trials
@@ -70,6 +72,14 @@ TINY = CampaignSpec(
     trials=2,
     seed=70,
     hardware="variation",
+)
+
+#: Arbitrary JSON values, for payload fuzzing.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
 )
 
 
@@ -127,6 +137,96 @@ class TestSpec:
             )
         with pytest.raises(CampaignError, match="unknown campaign"):
             get_campaign("nope")
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"name": "x", "bogus": 1},
+            {"name": "x", "trials": "3"},
+            {"name": "x", "trials": True},
+            {"name": "x", "sizes": ["a"]},
+            {"name": "x", "sizes": [0]},
+            {"name": "x", "sizes": [-4]},
+            {"name": "x", "sizes": 5},
+            {"name": "x", "solvers": [["original-amc"]]},
+            {"name": "x", "hardware": []},
+            {"name": "x", "seed": "7"},
+            {"name": "x", "backend": 3},
+            {"name": "x", "variants": 5},
+            {"name": "x", "variants": [{"overrides": {}}]},
+            {"name": "x", "variants": [{"label": "a", "extra": 1}]},
+            {"name": "x", "variants": [{"label": "a", "overrides": None}]},
+            {
+                "name": "x",
+                "variants": [
+                    {
+                        "label": "a",
+                        "overrides": {
+                            "programming.variation": {"kind": "gaussian", "bogus": 1}
+                        },
+                    }
+                ],
+            },
+            {"name": "x", "variants": [{"label": "a", "overrides": {"opamp.nope": 1}}]},
+            {"name": "x", "variants": [{"label": "a", "overrides": {"with_": 1}}]},
+            {"title": "no name"},
+            [1, 2],
+            "fig7",
+        ],
+    )
+    def test_from_dict_rejects_malformed_payloads(self, payload):
+        with pytest.raises(CampaignError):
+            CampaignSpec.from_dict(payload)
+
+    @given(
+        changes=st.dictionaries(
+            st.sampled_from(
+                [
+                    "name", "title", "mode", "solvers", "families", "sizes",
+                    "trials", "seed", "hardware", "variants", "backend", "bogus",
+                ]
+            ),
+            _JSON,
+            max_size=3,
+        ),
+        variants=st.none()
+        | st.lists(
+            st.fixed_dictionaries(
+                {"label": st.text(max_size=4)},
+                optional={
+                    "overrides": st.dictionaries(
+                        st.sampled_from(
+                            [
+                                "opamp.open_loop_gain",
+                                "converters.dac_bits",
+                                "programming.variation",
+                                "nope",
+                            ]
+                        ),
+                        _JSON
+                        | st.fixed_dictionaries(
+                            {"kind": st.sampled_from(["gaussian", "lognormal", "x"])},
+                            optional={"sigma": _JSON, "sigma_rel": _JSON},
+                        ),
+                        max_size=2,
+                    )
+                },
+            ),
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_from_dict_raises_only_campaign_errors(self, changes, variants):
+        """Any JSON payload either builds a spec or raises CampaignError."""
+        payload = {**TINY.to_dict(), **changes}
+        if variants is not None:
+            payload["variants"] = variants
+        try:
+            spec = CampaignSpec.from_dict(payload)
+        except CampaignError:
+            return
+        clone = CampaignSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert clone.digest() == spec.digest()
 
     def test_apply_overrides_nested(self):
         config = HardwareConfig.paper_variation()

@@ -134,30 +134,3 @@ class TestINVCircuit:
         out = solve_dc(c).voltages(outs)
         exact = -np.linalg.solve(matrix, v)
         assert 0.0 < np.max(np.abs(out - exact)) < 0.5 * np.max(np.abs(exact))
-
-
-class TestBulkAssemblyEquivalence:
-    """The bulk-append assembly path must produce the reference netlist."""
-
-    @pytest.mark.parametrize("r_wire", [0.0, 1.0])
-    @pytest.mark.parametrize("builder", [build_mvm_circuit, build_inv_circuit])
-    def test_identical_netlists(self, builder, r_wire):
-        rng = np.random.default_rng(17)
-        n = 9
-        g_pos = rng.uniform(0.0, 1e-4, size=(n, n))
-        g_neg = rng.uniform(0.0, 1e-4, size=(n, n))
-        g_pos[g_pos < 3e-5] = 0.0  # exercise the sparse-cell mask
-        g_neg[g_neg < 3e-5] = 0.0
-        v_in = rng.uniform(-1.0, 1.0, size=n)
-        offsets = rng.normal(0.0, 1e-3, size=n)
-        bulk_c, bulk_out = builder(
-            g_pos, g_neg, v_in, 1e-4,
-            r_wire=r_wire, opamp_gain=1e4, offsets=offsets, bulk=True,
-        )
-        loop_c, loop_out = builder(
-            g_pos, g_neg, v_in, 1e-4,
-            r_wire=r_wire, opamp_gain=1e4, offsets=offsets, bulk=False,
-        )
-        assert bulk_out == loop_out
-        assert bulk_c.elements == loop_c.elements  # values, names, and order
-        assert bulk_c.nodes() == loop_c.nodes()

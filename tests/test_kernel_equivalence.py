@@ -1248,12 +1248,12 @@ class TestColumnarVsObjectNetlist:
         stamping — the ordering rule that keeps duplicate accumulation
         (and therefore every low bit) identical."""
         reference = Circuit()
-        reference.resistors(
-            ["a", "a", "b"], ["b", "0", "c"], [1.0, 2.0, 3.0],
-            ["R0", "R1", "R2"],
-        )
-        reference.vsources(["a", "c"], ["0", "0"], [1.0, -2.0], ["V0", "V1"])
-        reference.conductors(["b"], ["c"], [0.25], ["G0"])
+        reference.resistor("a", "b", 1.0, "R0")
+        reference.resistor("a", "0", 2.0, "R1")
+        reference.resistor("b", "c", 3.0, "R2")
+        reference.vsource("a", "0", 1.0, "V0")
+        reference.vsource("c", "0", -2.0, "V1")
+        reference.conductor("b", "c", 0.25, "G0")
 
         columnar = ColumnarCircuit()
         columnar.resistors(
@@ -1332,22 +1332,40 @@ class TestColumnarVsObjectNetlist:
         representation accepting a netlist the other refuses."""
         from repro.errors import CircuitError
 
+        def duplicate(c):
+            c.resistor("a", "0", 1.0, "R1")
+            c.resistor("b", "0", 1.0, "R1")
+
         col = ColumnarCircuit()
-        obj = Circuit()
+        # Each columnar bulk call paired with its scalar object equivalent.
         cases = [
-            (lambda c: c.resistors(["a"], ["0"], [0.0], ["R1"]),),
-            (lambda c: c.conductors(["a"], ["0"], [-1.0], ["G1"]),),
-            (lambda c: c.resistors(["a", "b"], ["0"], [1.0], ["R1"]),),
-            (lambda c: c.resistors([""], ["0"], [1.0], ["R1"]),),
-            (lambda c: c.resistors(["a", "b"], ["0", "0"], [1.0, 1.0], ["R1", "R1"]),),
+            (
+                lambda c: c.resistors(["a"], ["0"], [0.0], ["R1"]),
+                lambda c: c.resistor("a", "0", 0.0, "R1"),
+            ),
+            (
+                lambda c: c.conductors(["a"], ["0"], [-1.0], ["G1"]),
+                lambda c: c.conductor("a", "0", -1.0, "G1"),
+            ),
+            (
+                lambda c: c.resistors([""], ["0"], [1.0], ["R1"]),
+                lambda c: c.resistor("", "0", 1.0, "R1"),
+            ),
+            (
+                lambda c: c.resistors(["a", "b"], ["0", "0"], [1.0, 1.0], ["R1", "R1"]),
+                duplicate,
+            ),
         ]
-        for (call,) in cases:
+        for col_call, obj_call in cases:
             with pytest.raises(CircuitError):
-                call(col)
+                col_call(col)
             with pytest.raises(CircuitError):
-                call(obj)
-        # Columnar-only guard rails: ids out of range, unnamed branch
-        # kinds, complex gains (AC is object-netlist territory).
+                obj_call(Circuit())
+        # Columnar-only guard rails: argument lengths that differ, ids
+        # out of range, unnamed branch kinds, complex gains (AC is
+        # object-netlist territory).
+        with pytest.raises(CircuitError):
+            col.resistors(["a", "b"], ["0"], [1.0], ["R1"])
         with pytest.raises(CircuitError, match="out of range"):
             col.resistors(
                 np.array([9], dtype=np.intp), np.array([-1], dtype=np.intp), [1.0]

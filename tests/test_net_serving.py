@@ -21,6 +21,8 @@ import socket
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.solution import LeanSolveResult
 from repro.errors import (
@@ -63,10 +65,20 @@ from repro.workloads.matrices import wishart_matrix
 from repro.workloads.traffic import drive_network, mixed_traffic
 
 
+def _body(head: bytes) -> bytes:
+    """A frame body whose header is the bytes ``head`` verbatim."""
+    return len(head).to_bytes(4, "big") + head
+
+
 def _raw_body(header: dict) -> bytes:
     """A frame body with ``header`` verbatim (encode_frame rewrites blobs)."""
-    head = json.dumps(header).encode()
-    return len(head).to_bytes(4, "big") + head
+    return _body(json.dumps(header).encode())
+
+
+#: Headers json.loads refuses with a non-JSON error: a nesting deeper
+#: than the recursion limit, and an integer past the digit limit.
+_DEEP_HEADER = b"[" * 100_000 + b"]" * 100_000
+_HUGE_INT_HEADER = b'{"blobs":[' + b"9" * 5000 + b"]}"
 
 
 def _requests(n=16, unique=3, sizes=(12, 16), seed=0, **kwargs):
@@ -129,6 +141,9 @@ class TestWireProtocol:
             decode_frame(_raw_body({"type": "x", "blobs": None}))
         with pytest.raises(WireProtocolError, match="overrun"):
             decode_frame(_raw_body({"type": "x", "blobs": [True]}) + b"z")
+        for head in (_DEEP_HEADER, _HUGE_INT_HEADER):
+            with pytest.raises(WireProtocolError, match="not valid JSON"):
+                decode_frame(_body(head))
 
     def test_array_from_bytes_validates_byte_count(self):
         with pytest.raises(WireProtocolError, match="expected"):
@@ -138,6 +153,47 @@ class TestWireProtocol:
                 array_from_bytes(b"\x00" * 8, shape)
         with pytest.raises(WireProtocolError, match="dtype"):
             array_from_bytes(b"\x00" * 8, (1,), ["float64"])
+        # a shape whose int64 product wraps to 0 bytes, and an empty
+        # block with an extent NumPy cannot index
+        with pytest.raises(WireProtocolError, match="expected"):
+            array_from_bytes(b"", (2**40, 2**40))
+        with pytest.raises(WireProtocolError, match="shape"):
+            array_from_bytes(b"", (0, 2**70))
+
+    @given(
+        body=st.one_of(
+            st.binary(max_size=64),
+            st.builds(
+                lambda header, tail: _raw_body(header) + tail,
+                st.recursive(
+                    st.none()
+                    | st.booleans()
+                    | st.integers()
+                    | st.floats()
+                    | st.text(max_size=8),
+                    lambda inner: st.lists(inner, max_size=4)
+                    | st.dictionaries(
+                        st.sampled_from(["type", "id", "blobs", "n"]) | st.text(max_size=4),
+                        inner,
+                        max_size=4,
+                    ),
+                    max_leaves=12,
+                ),
+                st.binary(max_size=16),
+            ),
+        )
+    )
+    @example(body=_body(_DEEP_HEADER))
+    @example(body=_body(_HUGE_INT_HEADER))
+    @settings(max_examples=200, deadline=None)
+    def test_decode_raises_only_wire_errors(self, body):
+        """Any body either decodes or raises WireProtocolError."""
+        try:
+            header, blobs = decode_frame(body)
+        except WireProtocolError:
+            return
+        assert isinstance(header, dict)
+        assert sum(len(blob) for blob in blobs) <= len(body)
 
     def test_recv_frame_rejects_hostile_length_prefix(self):
         a, b = socket.socketpair()
@@ -400,6 +456,23 @@ class TestNetServing:
                 sock.sendall(encode_frame({"type": "ping", "id": 8}))
                 response, _ = recv_frame(sock)
                 assert response["type"] == "pong" and response["id"] == 8
+            finally:
+                sock.close()
+
+    def test_unparseable_header_gets_typed_error_frame(self):
+        # A header json.loads cannot parse without a RecursionError used
+        # to escape the connection handler: the peer saw a bare EOF.
+        with NetServer(_server_config(workers=1)) as server:
+            host, port = server.address
+            sock = socket.create_connection((host, port), timeout=30.0)
+            try:
+                body = _body(_DEEP_HEADER)
+                sock.sendall(len(body).to_bytes(4, "big") + body)
+                response, _ = recv_frame(sock)
+                assert response["type"] == "error" and response["id"] is None
+                assert isinstance(
+                    error_from_wire(response["error"]), WireProtocolError
+                )
             finally:
                 sock.close()
 

@@ -94,66 +94,6 @@ class TestCircuitBuilders:
         assert set(c.nodes()) == {"o", "c1", "c2"}
 
 
-class TestBulkBuilders:
-    def test_resistors_match_scalar_path(self):
-        a, b = Circuit(), Circuit()
-        a.resistor("x", "0", 1.0, "R1")
-        a.resistor("x", "y", 2.0, "R2")
-        b.resistors(["x", "x"], ["gnd", "y"], [1.0, 2.0], ["R1", "R2"])
-        assert a.elements == b.elements
-
-    def test_conductors_match_scalar_path(self):
-        a, b = Circuit(), Circuit()
-        a.conductor("x", "0", 0.5, "G1")
-        b.conductors(["x"], ["0"], [0.5], ["G1"])
-        assert a.elements == b.elements
-
-    def test_vsources_match_scalar_path(self):
-        a, b = Circuit(), Circuit()
-        a.vsource("p", "0", 1.5, "V1")
-        b.vsources(["p"], ["GND"], [1.5], ["V1"])
-        assert a.elements == b.elements
-
-    def test_bulk_duplicate_names_rejected(self):
-        c = Circuit()
-        with pytest.raises(CircuitError, match="duplicate"):
-            c.resistors(["a", "b"], ["0", "0"], [1.0, 1.0], ["R1", "R1"])
-
-    def test_bulk_clash_with_existing_rejected(self):
-        c = Circuit()
-        c.resistor("a", "0", 1.0, "R1")
-        with pytest.raises(CircuitError, match="duplicate"):
-            c.resistors(["b"], ["0"], [1.0], ["R1"])
-
-    def test_bulk_nonpositive_resistance_rejected(self):
-        c = Circuit()
-        with pytest.raises(CircuitError):
-            c.resistors(["a"], ["0"], [0.0], ["R1"])
-
-    def test_bulk_nonpositive_conductance_rejected(self):
-        c = Circuit()
-        with pytest.raises(CircuitError):
-            c.conductors(["a"], ["0"], [-1.0], ["G1"])
-
-    def test_bulk_length_mismatch_rejected(self):
-        c = Circuit()
-        with pytest.raises(CircuitError):
-            c.resistors(["a", "b"], ["0"], [1.0], ["R1"])
-
-    def test_bulk_bad_node_rejected(self):
-        c = Circuit()
-        with pytest.raises(CircuitError):
-            c.resistors([""], ["0"], [1.0], ["R1"])
-
-    def test_bulk_elements_hash_and_compare_like_scalar(self):
-        c = Circuit()
-        (element,) = c.resistors(["a", ], ["0"], [2.0], ["R9"])
-        twin = Resistor("R9", "a", "0", 2.0)
-        assert element == twin
-        assert hash(element) == hash(twin)
-        assert element.conductance == 0.5
-
-
 class TestFailedBuilderLeavesCircuitUntouched:
     """Regression: a builder whose element fails validation must not
     register the name or advance the auto-name counter (the old
