@@ -19,6 +19,7 @@ outputs leave through the ADC. All sign bookkeeping follows the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from repro.amc.config import HardwareConfig
 from repro.amc.interfaces import ADC, DAC, SampleHold
 from repro.amc.ops import AMCOperations, OpResult
 from repro.amc.scheduler import default_program
-from repro.core.common import contract, solve_columns
+from repro.core.common import FactoredSystem, contract
 from repro.crossbar.array import CrossbarArray
 from repro.errors import SolverError
 from repro.utils.rng import as_generator
@@ -121,10 +122,10 @@ class MacroResult:
 
 
 def reference_schedule(
-    a1: np.ndarray,
+    a1: FactoredSystem,
     a2: np.ndarray,
     a3: np.ndarray,
-    a4s_normalized: np.ndarray,
+    a4s_normalized: FactoredSystem,
     f: np.ndarray,
     g: np.ndarray,
 ) -> dict[str, np.ndarray]:
@@ -133,16 +134,17 @@ def reference_schedule(
     Shape-generic over the kernel conventions: ``f``/``g`` may be single
     vectors or row-stacked ``(rhs, n)`` batches, and the batch results
     are bit-identical per row to the scalar calls (solves go one column
-    at a time through :func:`repro.core.common.solve_columns`,
-    contractions through :func:`repro.core.common.contract`).
-    ``a4s_normalized`` is the Schur block *after* undoing its private
-    array scale (``A4s / schur_input_scale``).
+    at a time through :class:`repro.core.common.FactoredSystem`,
+    contractions through :func:`repro.core.common.contract`). The two
+    INV blocks arrive factored — once per programming, not per call:
+    ``a1`` is the leading block and ``a4s_normalized`` the Schur block
+    *after* undoing its private array scale (``A4s / schur_input_scale``).
     """
-    y_t = solve_columns(a1, f, what="A1 block")
+    y_t = a1.solve(f)
     g_t = contract(a3, y_t)
-    z = solve_columns(a4s_normalized, g - g_t, what="Schur block")
+    z = a4s_normalized.solve(g - g_t)
     f_t = contract(a2, z)
-    y = solve_columns(a1, f - f_t, what="A1 block")
+    y = a1.solve(f - f_t)
     return {
         "step1": -y_t,
         "step2": g_t,
@@ -192,15 +194,31 @@ class BlockAMCMacro:
     # exact-arithmetic reference of every step (Fig. 6a "numerical")
     # ------------------------------------------------------------------
     def reference_steps(self, f: np.ndarray, g: np.ndarray) -> dict[str, np.ndarray]:
-        """Exact step outputs for inputs ``f``, ``g`` (with circuit signs)."""
+        """Exact step outputs for inputs ``f``, ``g`` (with circuit signs).
+
+        Shape-generic like :func:`reference_schedule`: the scalar solve
+        and the multi-RHS engine both call it.
+        """
+        arrays = self.arrays
         return reference_schedule(
-            self.arrays.a1.target.reconstruct_normalized(),
-            self.arrays.a2.target.reconstruct_normalized(),
-            self.arrays.a3.target.reconstruct_normalized(),
-            self.arrays.a4s.target.reconstruct_normalized()
-            / self.arrays.schur_input_scale,
+            arrays.a1.ideal_system(),
+            arrays.a2.ideal_matrix(),
+            arrays.a3.ideal_matrix(),
+            self.schur_system,
             f,
             g,
+        )
+
+    @cached_property
+    def schur_system(self) -> FactoredSystem:
+        """LU of ``A4s / schur_input_scale``, the exact step-3 operator.
+
+        Factored once per programmed macro and shared by every
+        :meth:`reference_steps` call, scalar or batched.
+        """
+        arrays = self.arrays
+        return FactoredSystem(
+            arrays.a4s.ideal_matrix() / arrays.schur_input_scale, what="Schur block"
         )
 
     # ------------------------------------------------------------------

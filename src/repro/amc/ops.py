@@ -140,12 +140,6 @@ class AMCOperations:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _ideal_matrix(self, array: CrossbarArray) -> np.ndarray:
-        """Normalized matrix a perfect array would implement."""
-        if array.target is not None:
-            return array.target.reconstruct_normalized()
-        return (np.asarray(array.g_pos) - np.asarray(array.g_neg)) / array.g_unit
-
     def _saturate(self, v_out: np.ndarray) -> tuple[np.ndarray, bool]:
         clipped, saturated = saturate(v_out, self.config.opamp.v_sat)
         return clipped, bool(saturated)
@@ -204,7 +198,7 @@ class AMCOperations:
         rows, cols = array.shape
         v_in = check_vector(v_in, "v_in", size=cols)
 
-        ideal = ideal_mvm(self._ideal_matrix(array), v_in)
+        ideal = ideal_mvm(array.ideal_matrix(), v_in)
         offsets = self._draw_offsets(rows, rng)
 
         if self.config.use_mna:
@@ -309,7 +303,7 @@ class AMCOperations:
         v_in = check_vector(v_in, "v_in", size=rows)
         check_positive(input_scale, "input_scale")
 
-        ideal = ideal_inv(self._ideal_matrix(array), v_in, input_scale)
+        ideal = ideal_inv(array.ideal_system(), v_in, input_scale)
 
         offsets = self._draw_offsets(rows, rng)
         effective = array.effective_matrix(self.config.parasitics)

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.amc.config import HardwareConfig
 from repro.amc.interfaces import quantize_voltages
-from repro.amc.macro import BlockAMCMacro, reference_schedule
+from repro.amc.macro import BlockAMCMacro
 from repro.amc.ops import OpResult
 from repro.circuits.dynamics import mvm_settling_time
 from repro.amc.scheduler import ScheduleResult, simulate_schedule
@@ -43,10 +43,9 @@ from repro.core.common import (
     mvm_raw,
     saturate,
     snh_cascade,
-    solve_columns,
 )
 from repro.core.partition import PartitionSpec, build_macro_arrays, prepare_blocks
-from repro.core.solution import LeanSolveResult, SolveResult
+from repro.core.solution import DigitalReference, LeanSolveResult, SolveResult
 from repro.crossbar.mapping import normalize_matrix
 from repro.errors import ValidationError
 from repro.utils.rng import as_generator
@@ -115,7 +114,9 @@ class BatchedFiveStep:
     Bound to one programmed :class:`~repro.amc.macro.BlockAMCMacro`,
     this engine holds everything batch-invariant about the schedule —
     effective matrices, the two INV-system factorizations (factor once,
-    per-column ``getrs``), the settling analysis, and the quasi-static
+    per-column ``getrs``; the ideal-output LUs are the arrays' own, see
+    :meth:`~repro.crossbar.array.CrossbarArray.ideal_system`), the
+    settling analysis, and the quasi-static
     op-amp offsets (drawn through the macro's own offset cache in exact
     scalar stream order) — and executes a whole ``(batch, n)`` block of
     right-hand sides per :meth:`run` call, gain-ranging each column
@@ -141,8 +142,6 @@ class BatchedFiveStep:
         self.eff4 = a4s.effective_matrix(par)
         self.load2, self.load3 = a2.load_row_sums(), a3.load_row_sums()
         load1, load4 = a1.load_row_sums(), a4s.load_row_sums()
-        self.id1, self.id2 = ops._ideal_matrix(a1), ops._ideal_matrix(a2)
-        self.id3, self.id4 = ops._ideal_matrix(a3), ops._ideal_matrix(a4s)
         # Offsets draw per column size on first use, exactly like the
         # scalar schedule's step 1 (upper) then step 2 (lower).
         self.off_k = ops._draw_offsets(arrays.upper_size, rng)
@@ -249,18 +248,23 @@ class BatchedFiveStep:
         """Per-step batched telemetry for the accepted attempt.
 
         Ideal (perfect-circuit) outputs are computed from the accepted
-        inputs, exactly as the scalar ops record them.
+        inputs through the arrays' cached ideal matrices and LUs — the
+        same objects the scalar ops use, so no call here factors.
         """
         arrays = self.macro.arrays
         a1, a2, a3, a4s = arrays.a1, arrays.a2, arrays.a3, arrays.a4s
         sat = final["sat"]
         steps = (
-            ("step1:INV(A1)", "inv", "s1", ideal_inv(self.id1, final["in1"]), 1, a1),
-            ("step2:MVM(A3)", "mvm", "s2", ideal_mvm(self.id3, final["in2"]), 2, a3),
+            ("step1:INV(A1)", "inv", "s1",
+             ideal_inv(a1.ideal_system(), final["in1"]), 1, a1),
+            ("step2:MVM(A3)", "mvm", "s2",
+             ideal_mvm(a3.ideal_matrix(), final["in2"]), 2, a3),
             ("step3:INV(A4s)", "inv", "s3",
-             ideal_inv(self.id4, final["in3"], self.s_in), 3, a4s),
-            ("step4:MVM(A2)", "mvm", "s4", ideal_mvm(self.id2, final["in4"]), 4, a2),
-            ("step5:INV(A1)", "inv", "s5", ideal_inv(self.id1, final["in5"]), 5, a1),
+             ideal_inv(a4s.ideal_system(), final["in3"], self.s_in), 3, a4s),
+            ("step4:MVM(A2)", "mvm", "s4",
+             ideal_mvm(a2.ideal_matrix(), final["in4"]), 4, a2),
+            ("step5:INV(A1)", "inv", "s5",
+             ideal_inv(a1.ideal_system(), final["in5"]), 5, a1),
         )
         return tuple(
             BatchedOpSpec(
@@ -279,7 +283,7 @@ class BatchedFiveStep:
 
 
 @dataclass(frozen=True)
-class PreparedBlockAMC:
+class PreparedBlockAMC(DigitalReference):
     """A programmed one-stage solver bound to one matrix."""
 
     matrix: np.ndarray
@@ -311,10 +315,9 @@ class PreparedBlockAMC:
         macro_result, k = auto_range(run, k0, v_fs)
         x = macro_result.solution / (k * self.scale)
 
-        reference = solve_columns(self.matrix, b, what="system matrix")
         return SolveResult(
             x=x,
-            reference=reference,
+            reference=self.reference_solve(b),
             solver="blockamc-1stage",
             operations=macro_result.steps,
             metadata={
@@ -343,11 +346,15 @@ class PreparedBlockAMC:
         The programmed arrays, their effective matrices, and the
         eigenvalue/settling analysis are fixed across right-hand sides,
         so the five-step schedule runs once with *matrix-valued*
-        intermediates: each INV step is a single multi-RHS
-        ``np.linalg.solve`` (one factorization for the whole batch) and
-        each MVM step one matmul. Gain ranging still operates per
-        right-hand side (columns rerun independently, exactly like
-        sequential :meth:`solve` calls).
+        intermediates: each INV step back-substitutes the whole batch
+        through one factorization built when the engine was (one
+        ``getrs`` per column) and each MVM step is one ``einsum``
+        contraction. The digital reference, the ideal step outputs and
+        the Fig. 6a step references likewise reuse LUs factored once
+        per prepared matrix, so a warmed solver factors nothing per
+        batch. Gain ranging still operates per right-hand side (columns
+        rerun independently, exactly like sequential :meth:`solve`
+        calls).
 
         Results are **bit-identical** to a sequential loop of
         :meth:`solve` calls: every step goes through the shared kernel
@@ -401,7 +408,7 @@ class PreparedBlockAMC:
         # the digital reference always stays float64.
         divisor = engine.backend.cast(final_k * self.scale)[:, None]
         x = np.concatenate([x_upper, x_lower], axis=1) / divisor
-        references = solve_columns(self.matrix, bs, what="system matrix")
+        references = self.reference_solve(bs)
 
         if lean:
             # Same summation order as SolveResult.analog_time_s (left
@@ -422,10 +429,7 @@ class PreparedBlockAMC:
             )
 
         # Exact-arithmetic per-step references (Fig. 6a curves), batched.
-        reference = reference_schedule(
-            engine.id1, engine.id2, engine.id3, engine.id4 / engine.s_in,
-            final["f"], final["g"],
-        )
+        reference = macro.reference_steps(final["f"], final["g"])
 
         # Per-step invariants resolve once inside the specs: OpResult
         # construction runs batch x 5 times and dominates assembly time

@@ -56,6 +56,7 @@ batch shape:
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -187,6 +188,13 @@ class FactoredSystem:
     pair the engine always used, and right-hand sides are coerced to
     the matrix dtype — so the float64 path is byte-identical to the
     pre-seam kernel.
+
+    One instance may be shared by threads (a prepared solver's LUs are
+    built once and reused), so :meth:`solve` holds a per-instance lock:
+    SciPy's ``getrs`` wrapper shifts the pivot array in place to 1-based
+    and back around the LAPACK call, outside the interpreter lock, and
+    two overlapping calls on one pivot array return wrong columns or
+    corrupt memory.
     """
 
     def __init__(self, matrix: np.ndarray, what: str = "effective block matrix"):
@@ -202,22 +210,24 @@ class FactoredSystem:
         self._lu = lu
         self._piv = piv
         self._what = what
+        self._lock = threading.Lock()
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for ``(n,)`` or row-stacked ``(rhs, n)`` right-hand sides."""
         getrs, lu, piv = self._getrs, self._lu, self._piv
         rhs = np.ascontiguousarray(rhs, dtype=self.matrix.dtype)
-        if rhs.ndim == 1:
-            x, info = getrs(lu, piv, rhs)
-            if info != 0:  # pragma: no cover - defensive (bad LAPACK argument)
-                raise SolverError(f"{self._what} solve failed (LAPACK info={info})")
-            return x
-        out = np.empty_like(rhs)
-        for i in range(rhs.shape[0]):
-            x, info = getrs(lu, piv, rhs[i])
-            if info != 0:  # pragma: no cover - defensive (bad LAPACK argument)
-                raise SolverError(f"{self._what} solve failed (LAPACK info={info})")
-            out[i] = x
+        with self._lock:
+            if rhs.ndim == 1:
+                x, info = getrs(lu, piv, rhs)
+                if info != 0:  # pragma: no cover - defensive (bad LAPACK argument)
+                    raise SolverError(f"{self._what} solve failed (LAPACK info={info})")
+                return x
+            out = np.empty_like(rhs)
+            for i in range(rhs.shape[0]):
+                x, info = getrs(lu, piv, rhs[i])
+                if info != 0:  # pragma: no cover - defensive (bad LAPACK argument)
+                    raise SolverError(f"{self._what} solve failed (LAPACK info={info})")
+                out[i] = x
         return out
 
 
@@ -247,13 +257,14 @@ def ideal_mvm(matrix: np.ndarray, v_in: np.ndarray) -> np.ndarray:
 
 
 def ideal_inv(
-    matrix: np.ndarray,
-    v_in: np.ndarray,
-    input_scale: float = 1.0,
-    what: str = "ideal block matrix",
+    system: FactoredSystem, v_in: np.ndarray, input_scale: float = 1.0
 ) -> np.ndarray:
-    """Perfect-circuit INV output ``-matrix^-1 (input_scale * v_in)``."""
-    return -solve_columns(matrix, input_scale * v_in, what=what)
+    """Perfect-circuit INV output ``-matrix^-1 (input_scale * v_in)``.
+
+    ``system`` is the ideal matrix's factorization, built once per
+    programmed array (:meth:`~repro.crossbar.array.CrossbarArray.ideal_system`).
+    """
+    return -system.solve(input_scale * v_in)
 
 
 # ----------------------------------------------------------------------

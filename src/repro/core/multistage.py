@@ -50,7 +50,7 @@ from repro.core.common import (
     saturate,
 )
 from repro.core.partition import PartitionSpec, build_macro_arrays, prepare_blocks
-from repro.core.solution import LeanSolveResult, SolveResult
+from repro.core.solution import DigitalReference, LeanSolveResult, SolveResult
 from repro.crossbar.array import CrossbarArray
 from repro.crossbar.mapping import normalize_matrix
 from repro.errors import SolverError, ValidationError
@@ -219,7 +219,7 @@ class _TiledMVM:
                     bk.cast(array.effective_matrix(config.parasitics)),
                     bk.cast(array.load_row_sums()),
                     bk.cast(self.ops._draw_offsets(array.shape[0], rng)),
-                    self.ops._ideal_matrix(array),
+                    array.ideal_matrix(),
                     mvm_settling_time(
                         np.asarray(array.g_pos) + np.asarray(array.g_neg),
                         array.g_unit,
@@ -393,10 +393,10 @@ class _DirectInvNode:
     ) -> np.ndarray:
         """Row-stacked :meth:`solve`: one INV factorization, many columns.
 
-        The factored finite-gain system, ideal matrix, and settling
-        estimate are batch-invariant — built on first use, reused by
-        every later batch (offsets come from the node's quasi-static
-        cache, shared with the scalar path).
+        The factored finite-gain system and settling estimate are
+        batch-invariant — built on first use, reused by every later
+        batch (offsets come from the node's quasi-static cache, shared
+        with the scalar path; the ideal-output LU is the array's own).
         """
         config = self.config
         conv = config.converters
@@ -414,10 +414,9 @@ class _DirectInvNode:
                 FactoredSystem(
                     inv_system(bk.cast(effective), loading, config.opamp.open_loop_gain)
                 ),
-                self.ops._ideal_matrix(self.array),
                 self.ops._inv_settle(self.array),
             )
-        offsets, loading, fact, ideal_matrix, settle = self._batch_state
+        offsets, loading, fact, settle = self._batch_state
 
         def run_subset(k, indices):
             v_in = bk.cast(
@@ -435,7 +434,7 @@ class _DirectInvNode:
                 label="direct-inv",
                 kind="inv",
                 outputs=final["out"],
-                ideal=ideal_inv(ideal_matrix, final["v_in"]),
+                ideal=ideal_inv(self.array.ideal_system(), final["v_in"]),
                 settling_time_s=settle,
                 saturated=final["sat"],
                 rows=rows,
@@ -531,7 +530,7 @@ def _build_node(block, depth_remaining, config, partition, fraction, rng):
 
 
 @dataclass(frozen=True)
-class PreparedMultiStage:
+class PreparedMultiStage(DigitalReference):
     """A programmed multi-stage solver bound to one matrix."""
 
     matrix: np.ndarray
@@ -548,10 +547,9 @@ class PreparedMultiStage:
         x = self.root.solve(b, tally, rng)
         self.root.count_resources(tally)
 
-        reference = np.linalg.solve(self.matrix, b)
         return SolveResult(
             x=x,
-            reference=reference,
+            reference=self.reference_solve(b),
             solver=f"blockamc-{self.stages}stage",
             operations=tuple(tally.operations),
             metadata={
@@ -608,11 +606,7 @@ class PreparedMultiStage:
         self.root.count_resources(counts)
         counts.dac_conversions = tally.dac_conversions
         counts.adc_conversions = tally.adc_conversions
-        # Per-column exact references through the scalar path's call
-        # (np.linalg.solve) so reference bits match :meth:`solve`.
-        references = np.stack(
-            [np.linalg.solve(self.matrix, bs[c]) for c in range(batch)]
-        )
+        references = self.reference_solve(bs)
         solver = f"blockamc-{self.stages}stage"
         metadata_common = {
             "stages": self.stages,

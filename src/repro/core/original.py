@@ -20,9 +20,8 @@ from repro.core.common import (
     DEFAULT_INPUT_FRACTION,
     auto_range,
     input_voltage_scale,
-    solve_columns,
 )
-from repro.core.solution import SolveResult
+from repro.core.solution import DigitalReference, SolveResult
 from repro.crossbar.array import CrossbarArray
 from repro.crossbar.mapping import normalize_matrix
 from repro.utils.rng import as_generator
@@ -30,7 +29,7 @@ from repro.utils.validation import check_square_matrix, check_vector
 
 
 @dataclass(frozen=True)
-class PreparedOriginalAMC:
+class PreparedOriginalAMC(DigitalReference):
     """A programmed monolithic INV solver bound to one matrix."""
 
     matrix: np.ndarray
@@ -60,10 +59,9 @@ class PreparedOriginalAMC:
         # The circuit returns -A_n^-1 v_in; undo sign and scaling digitally.
         x = -adc.convert(op.output) / (k * self.scale)
 
-        reference = solve_columns(self.matrix, b, what="system matrix")
         return SolveResult(
             x=x,
-            reference=reference,
+            reference=self.reference_solve(b),
             solver="original-amc",
             operations=(op,),
             metadata={

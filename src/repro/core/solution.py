@@ -7,6 +7,8 @@ solution payload (``x``/``reference`` are bitwise identical to the full
 result's) with per-step telemetry reduced to the scalars the serving
 and campaign layers actually consume — constructing the five OpResults
 and their step-output dicts dominates service-side time at scale.
+:class:`DigitalReference` is the prepared solvers' shared source of the
+``reference`` field.
 """
 
 from __future__ import annotations
@@ -17,6 +19,29 @@ import numpy as np
 
 from repro.amc.ops import OpResult
 from repro.analysis.metrics import paper_relative_error
+from repro.core.common import FactoredSystem
+
+
+class DigitalReference:
+    """Mixin for prepared solvers: one LU of ``matrix`` for every reference.
+
+    Each answer reports its Eq. 6 error against the digital solve of
+    the prepared ``matrix``, which is fixed once the solver is
+    programmed. The factorization is built on first use and stored
+    outside the frozen dataclass fields (pure derived state), so
+    ``solve`` and ``solve_many`` share it. Per-column ``getrs`` makes
+    every reference bit-identical to
+    ``solve_columns(matrix, b, what="system matrix")`` whatever the
+    batch, the solver kind or the BLAS thread count.
+    """
+
+    def reference_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Digital reference for ``(n,)`` or row-stacked ``(rhs, n)``."""
+        system = self.__dict__.get("_reference_system")
+        if system is None:
+            system = FactoredSystem(self.matrix, what="system matrix")
+            object.__setattr__(self, "_reference_system", system)
+        return system.solve(rhs)
 
 
 @dataclass(frozen=True)
@@ -28,7 +53,9 @@ class SolveResult:
     x:
         The solver's solution.
     reference:
-        Exact digital solution ``numpy.linalg.solve(A, b)``.
+        Exact digital solution ``A^-1 b``: one ``getrf`` of ``A`` per
+        prepared solver, one ``getrs`` per column
+        (:class:`DigitalReference`).
     solver:
         Human-readable solver name.
     operations:

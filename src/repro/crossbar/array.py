@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.common import FactoredSystem
 from repro.crossbar.mapping import MappedConductances, map_to_conductances
 from repro.crossbar.parasitics import ParasiticConfig, effective_conductance_matrix
 from repro.devices.faults import StuckFaultModel
@@ -103,6 +104,8 @@ class CrossbarArray:
         self._target = target
         self._effective_cache: dict[ParasiticConfig, np.ndarray] = {}
         self._margin_cache: dict[ParasiticConfig, float] = {}
+        self._ideal: np.ndarray | None = None
+        self._ideal_system: FactoredSystem | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -216,6 +219,38 @@ class CrossbarArray:
             self._margin_cache[parasitics] = margin
         return margin
 
+    # ------------------------------------------------------------------
+    # ideal operator (the perfect-circuit references)
+    # ------------------------------------------------------------------
+    def ideal_matrix(self) -> np.ndarray:
+        """Normalized matrix a perfect array would implement (read-only).
+
+        The mapping target when the array was built via :meth:`program`,
+        else the programmed conductances themselves. Computed once per
+        array: every ideal output on it reads the same matrix.
+        """
+        if self._ideal is None:
+            if self._target is not None:
+                ideal = self._target.reconstruct_normalized()
+            else:
+                ideal = (self._g_pos - self._g_neg) / self._g_unit
+            ideal.flags.writeable = False
+            self._ideal = ideal
+        return self._ideal
+
+    def ideal_system(self) -> FactoredSystem:
+        """LU of :meth:`ideal_matrix`, factored on first use.
+
+        Every ideal INV output on the array — scalar ops, the multi-RHS
+        engines and the Fig. 6a step references — back-substitutes
+        through this one factorization instead of re-factoring per use.
+        """
+        if self._ideal_system is None:
+            self._ideal_system = FactoredSystem(
+                self.ideal_matrix(), what="ideal block matrix"
+            )
+        return self._ideal_system
+
     def load_row_sums(self) -> np.ndarray:
         """Total normalized conductance loading each WL (for finite gain).
 
@@ -235,9 +270,8 @@ class CrossbarArray:
         """
         if self._target is None:
             return None
-        ideal = self._target.reconstruct_normalized()
         actual = (self._g_pos - self._g_neg) / self._g_unit
-        return actual - ideal
+        return actual - self.ideal_matrix()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         rows, cols = self.shape

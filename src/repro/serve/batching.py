@@ -42,8 +42,9 @@ def execute_batch(
 ) -> list[SolveResult]:
     """Execute one batch of right-hand sides against a prepared entry.
 
-    Coalescible entries run the batched five-step pipeline (one
-    factorization per INV step for the whole batch); the generator
+    Coalescible entries run the batched five-step pipeline (its LUs
+    were factored when the entry was prepared and first batched, so a
+    batch only back-substitutes); the generator
     argument is vestigial there — offsets were warmed at preparation —
     so a fixed seed keeps the call deterministic by construction. Other
     entries execute per request, each consuming its own
