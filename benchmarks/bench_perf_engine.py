@@ -58,10 +58,6 @@ MIN_COLUMNAR_SPEEDUP = 5.0
 #: without changing bits, so the honest floor is modest (measured ~1.4x
 #: at 16x16; parity at 64x64).
 MIN_BATCHED_EXACT_SPEEDUP = 1.05
-#: The float32 tier must not *cost* wall-clock: the per-column LAPACK
-#: sweep dominates at tier-1 sizes, so the honest floor is near-parity
-#: (the tier's headline win is halved operand memory, not time).
-MIN_F32_TIER_SPEEDUP = 0.7
 
 _report = PerfReport()
 
@@ -348,66 +344,6 @@ def test_exact_parasitics_batched(report):
         ),
     )
     assert speedup >= MIN_BATCHED_EXACT_SPEEDUP
-
-
-def test_float32_vs_float64_tier(report):
-    """The ``numpy-f32`` precision tier vs the float64 default.
-
-    Same 64-RHS workload as ``test_solve_many_64rhs``, solved once per
-    tier on identically prepared solvers. The comparison first asserts
-    the tier's documented tolerance contract (relative-L1, see
-    :data:`repro.core.backend.F32_TOLERANCE`) — a "speedup" from a tier
-    that broke its accuracy contract would be meaningless. The honest
-    floor is near-parity: the kernel's per-column LAPACK sweeps dominate
-    and sgetrf/sgetrs wins are size-dependent; the tier's value is the
-    halved operand memory and the documented seam, not a guaranteed
-    wall-clock win at tier-1 sizes.
-    """
-    from repro.core.backend import F32_TOLERANCE
-
-    config64 = HardwareConfig.paper_variation()
-    config32 = config64.with_(backend="numpy-f32")
-    matrix = wishart_matrix(32, rng=0)
-    rhs = [random_vector(32, rng=i) for i in range(64)]
-    prep64 = BlockAMCSolver(config64).prepare(matrix, rng=5)
-    prep32 = BlockAMCSolver(config32).prepare(matrix, rng=5)
-
-    res64 = prep64.solve_many(rhs, np.random.default_rng(9), lean=True)
-    res32 = prep32.solve_many(rhs, np.random.default_rng(9), lean=True)
-    worst = 0.0
-    for a, b in zip(res64, res32):
-        assert a.x.dtype == np.float64
-        assert b.x.dtype == np.float32
-        assert F32_TOLERANCE.admits(b.x, a.x)
-        worst = max(worst, F32_TOLERANCE.deviation(b.x, a.x))
-
-    old_s = time_call(
-        lambda: prep64.solve_many(rhs, np.random.default_rng(9), lean=True),
-        repeats=3,
-    )
-    new_s = time_call(
-        lambda: prep32.solve_many(rhs, np.random.default_rng(9), lean=True),
-        repeats=3,
-    )
-    speedup = _report.add(
-        "float32_tier_solve_many_64rhs_32x32",
-        old_s,
-        new_s,
-        detail=(
-            "64 RHS on one programmed BlockAMC at float64 vs the "
-            f"numpy-f32 tier (worst relative-L1 deviation {worst:.2e}, "
-            f"contract rtol {F32_TOLERANCE.rtol:g})"
-        ),
-    )
-    report(
-        "perf_float32_tier",
-        format_table(
-            ["tier", "ms"],
-            [["numpy (float64)", old_s * 1e3], ["numpy-f32", new_s * 1e3]],
-            title=f"float32 vs float64 tier, 64-RHS solve_many — {speedup:.2f}x",
-        ),
-    )
-    assert speedup >= MIN_F32_TIER_SPEEDUP
 
 
 def test_write_artifact():

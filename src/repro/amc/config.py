@@ -21,7 +21,6 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
-from repro.core.backend import ArrayBackend, get_backend
 from repro.crossbar.array import ProgrammingConfig
 from repro.crossbar.parasitics import ParasiticConfig
 from repro.devices.models import PAPER_G0_SIEMENS
@@ -179,25 +178,9 @@ class HardwareConfig:
     use_mna: bool = False
     """Route operations through the full MNA netlist instead of the fast
     algebraic model (slow; for validation)."""
-    backend: str = "numpy"
-    """Array backend / precision tier the analog kernel runs at (a name
-    registered in :mod:`repro.core.backend`; ``"numpy"`` is the
-    byte-identical float64 default, ``"numpy-f32"`` the float32 tier).
-    Digital glue — references, Schur preprocessing, MNA routing — always
-    runs float64 regardless of tier."""
 
     def __post_init__(self):
         check_positive(self.g_unit, "g_unit")
-        get_backend(self.backend)  # fail fast on unknown/unavailable names
-
-    def resolve_backend(self) -> ArrayBackend:
-        """The :class:`~repro.core.backend.ArrayBackend` instance for
-        :attr:`backend` (memoized; the config is frozen)."""
-        cached = self.__dict__.get("_backend")
-        if cached is None:
-            cached = get_backend(self.backend)
-            object.__setattr__(self, "_backend", cached)
-        return cached
 
     # ------------------------------------------------------------------
     # factory configurations used by the paper's experiments

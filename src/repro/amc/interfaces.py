@@ -46,7 +46,7 @@ class DAC:
         Values beyond full scale saturate; finite resolution rounds to the
         nearest LSB.
         """
-        digital = check_vector(digital, "digital", preserve_dtype=True)
+        digital = check_vector(digital, "digital")
         return _quantize(digital, self.config.dac_bits, self.config.v_fs)
 
 
@@ -58,7 +58,7 @@ class ADC:
 
     def convert(self, analog: np.ndarray) -> np.ndarray:
         """Digitize analog voltages (clip to full scale, round to LSB)."""
-        analog = check_vector(analog, "analog", preserve_dtype=True)
+        analog = check_vector(analog, "analog")
         return _quantize(analog, self.config.adc_bits, self.config.v_fs)
 
 
@@ -75,7 +75,7 @@ class SampleHold:
 
     def transfer(self, voltages: np.ndarray, rng=None) -> np.ndarray:
         """Sample ``voltages`` and return the held values."""
-        voltages = check_vector(voltages, "voltages", preserve_dtype=True)
+        voltages = check_vector(voltages, "voltages")
         held = voltages * (1.0 + self.config.gain_error)
         if self.config.noise_sigma_v > 0.0:
             rng = as_generator(rng)

@@ -238,13 +238,8 @@ class BlockAMCMacro:
 
         reference = self.reference_steps(f, g)
 
-        # DAC outputs enter the analog voltage domain: cast to the
-        # backend tier (identity on float64) so in-analog sums like
-        # ``h2 - v_g`` happen at the tier's precision, exactly like the
-        # batched engines.
-        cast = self.config.resolve_backend().cast
-        v_f = cast(self.dac.convert(f))
-        v_g = cast(self.dac.convert(g))
+        v_f = self.dac.convert(f)
+        v_g = self.dac.convert(g)
 
         # Step 1: INV with A1 and f -> -y_t.
         s1 = self.ops.inv(self.arrays.a1, v_f, label="step1:INV(A1)", rng=rng)

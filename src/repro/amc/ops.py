@@ -161,16 +161,11 @@ class AMCOperations:
         return cached
 
     def _add_output_noise(self, raw: np.ndarray, rng) -> np.ndarray:
-        """Per-operation output-referred noise (fresh sample each op).
-
-        Draws are always float64 (identical generator stream across
-        precision tiers); the sum is cast back to the operating dtype.
-        """
+        """Per-operation output-referred noise (fresh sample each op)."""
         sigma = self.config.opamp.output_noise_sigma_v
         if sigma == 0.0:
             return raw
-        noisy = raw + as_generator(rng).normal(0.0, sigma, size=raw.shape)
-        return noisy.astype(raw.dtype, copy=False)
+        return raw + as_generator(rng).normal(0.0, sigma, size=raw.shape)
 
     # ------------------------------------------------------------------
     # MVM
@@ -202,15 +197,13 @@ class AMCOperations:
         offsets = self._draw_offsets(rows, rng)
 
         if self.config.use_mna:
-            # MNA routing always solves the netlist at float64.
             raw = self._mvm_mna(array, v_in, offsets)
         else:
-            bk = self.config.resolve_backend()
             raw = mvm_raw(
-                bk.cast(array.effective_matrix(self.config.parasitics)),
-                bk.cast(array.load_row_sums()),
-                bk.cast(v_in),
-                bk.cast(offsets),
+                array.effective_matrix(self.config.parasitics),
+                array.load_row_sums(),
+                v_in,
+                offsets,
                 self.config.opamp.open_loop_gain,
             )
 
@@ -308,15 +301,13 @@ class AMCOperations:
         offsets = self._draw_offsets(rows, rng)
         effective = array.effective_matrix(self.config.parasitics)
         if self.config.use_mna:
-            # MNA routing always solves the netlist at float64.
             raw = self._inv_mna(array, v_in, input_scale, offsets)
         else:
-            bk = self.config.resolve_backend()
             raw = inv_raw(
-                bk.cast(effective),
-                bk.cast(array.load_row_sums()),
-                bk.cast(v_in),
-                bk.cast(offsets),
+                effective,
+                array.load_row_sums(),
+                v_in,
+                offsets,
                 input_scale,
                 self.config.opamp.open_loop_gain,
             )

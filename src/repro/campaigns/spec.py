@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.amc.config import HardwareConfig
-from repro.core.backend import get_backend
 from repro.devices.models import PAPER_G0_SIEMENS
 from repro.devices.variations import (
     GaussianVariation,
@@ -51,7 +50,7 @@ from repro.devices.variations import (
     NoVariation,
     RelativeGaussianVariation,
 )
-from repro.errors import BackendError, CampaignError
+from repro.errors import CampaignError
 
 __all__ = [
     "BASE_HARDWARE",
@@ -245,12 +244,6 @@ class CampaignSpec:
     variants:
         Hardware grid points. An empty tuple means one unlabeled
         variant with no overrides.
-    backend:
-        Array backend / precision tier applied to every resolved
-        hardware config (see :mod:`repro.core.backend`). The default
-        ``"numpy"`` (float64) is omitted from :meth:`to_dict`, so
-        pre-backend campaign digests — and their resumable stores —
-        are unchanged.
     """
 
     name: str
@@ -263,7 +256,6 @@ class CampaignSpec:
     seed: int = 0
     hardware: str = "variation"
     variants: tuple = ()
-    backend: str = "numpy"
 
     def __post_init__(self):
         from repro.serve.cache import SOLVER_KINDS
@@ -301,12 +293,6 @@ class CampaignSpec:
             raise CampaignError(f"trials must be an integer >= 1, got {self.trials!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise CampaignError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not isinstance(self.backend, str):
-            raise CampaignError(f"backend must be a name, got {self.backend!r}")
-        try:
-            get_backend(self.backend)
-        except BackendError as exc:
-            raise CampaignError(str(exc)) from None
         if not isinstance(self.variants, (list, tuple)):
             raise CampaignError(f"variants must be a list, got {self.variants!r}")
         variants = tuple(
@@ -328,12 +314,8 @@ class CampaignSpec:
     # serialization and content addressing
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """JSON-serializable form (round-trips through :meth:`from_dict`).
-
-        ``backend`` is included only off its default, so the digests of
-        pre-backend specs (and the stores keyed by them) are stable.
-        """
-        payload = {
+        """JSON-serializable form (round-trips through :meth:`from_dict`)."""
+        return {
             "name": self.name,
             "title": self.title,
             "mode": self.mode,
@@ -348,9 +330,6 @@ class CampaignSpec:
                 for v in self.variants
             ],
         }
-        if self.backend != "numpy":
-            payload["backend"] = self.backend
-        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CampaignSpec":
@@ -380,15 +359,8 @@ class CampaignSpec:
         return hashlib.sha256(_canonical_json(self.to_dict()).encode()).hexdigest()
 
     def resolve_hardware(self, variant_index: int) -> HardwareConfig:
-        """Concrete :class:`HardwareConfig` of one grid point.
-
-        The spec's ``backend`` applies last, after variant overrides
-        (when off its default), so the whole grid runs at one tier.
-        """
-        config = self.variants[variant_index].resolve(self.hardware)
-        if self.backend != "numpy":
-            config = config.with_(backend=self.backend)
-        return config
+        """Concrete :class:`HardwareConfig` of one grid point."""
+        return self.variants[variant_index].resolve(self.hardware)
 
 
 @dataclass(frozen=True)

@@ -157,7 +157,6 @@ def _service_config(args) -> ServiceConfig:
         cache_capacity=args.cache_capacity,
         resilience=resilience,
         trace_dir=args.trace_dir,
-        backend=args.backend,
     )
 
 
@@ -370,14 +369,9 @@ def _cmd_check(args) -> int:
 
 
 def _campaign_spec(args):
-    import dataclasses
-
     from repro.campaigns import get_campaign
 
-    spec = get_campaign(args.name, quick=not args.paper)
-    if getattr(args, "backend", None):
-        spec = dataclasses.replace(spec, backend=args.backend)
-    return spec
+    return get_campaign(args.name, quick=not args.paper)
 
 
 def _campaign_store_root(args):
@@ -611,11 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument(
             "--hardware", choices=sorted(HARDWARE_FACTORIES), default="variation"
         )
-        parser.add_argument(
-            "--backend", type=str, default=None,
-            help="array backend / precision tier for the default hardware "
-            "(numpy, numpy-f32; default: the hardware's own tier)",
-        )
         parser.add_argument("--seed", type=int, default=0)
         parser.add_argument(
             "--deadline-ms", type=float, default=None,
@@ -727,12 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument(
             "--paper", action="store_true",
             help="paper-scale grid (default is the quick CI grid)",
-        )
-        parser.add_argument(
-            "--backend", type=str, default=None,
-            help="array backend / precision tier for the whole grid "
-            "(numpy, numpy-f32); changes the campaign digest, so "
-            "each tier gets its own store",
         )
 
     clist = campaign_sub.add_parser("list", help="list registered campaigns")

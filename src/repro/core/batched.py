@@ -202,17 +202,9 @@ class _ArrayBatch:
             # scalar engine (positive array first, like CrossbarArray).
             eff_pos = exact_effective_matrix_batch(g_pos, parasitics.r_wire)
             eff_neg = exact_effective_matrix_batch(g_neg, parasitics.r_wire)
-        # Backend cast (identity on the default float64 tier): the
-        # programming/parasitics pipeline above always computes float64;
-        # only the assembled analog operands drop to the tier dtype.
-        bk = config.resolve_backend()
-        # Settling analysis stays on the float64 effectives (like the
-        # scalar ops, which analyze before casting) so timing metadata
-        # is tier-independent.
-        self._settle_effective = (eff_pos - eff_neg) / g_unit  # (T, r, c)
-        self.effective = bk.cast(self._settle_effective)
+        self.effective = (eff_pos - eff_neg) / g_unit  # (T, r, c)
         g_total = g_pos + g_neg
-        self.load_row_sums = bk.cast(g_total.sum(axis=2) / g_unit)  # (T, r)
+        self.load_row_sums = g_total.sum(axis=2) / g_unit  # (T, r)
         self.max_row_total = g_total.sum(axis=2).max(axis=1)  # (T,)
         self.rows = blocks.shape[1]
         self.cols = blocks.shape[2]
@@ -231,7 +223,7 @@ class _ArrayBatch:
         The margins come from the same helper the scalar path uses, so
         each trial's time is bit-identical to its scalar INV op's.
         """
-        margins = inv_eigenvalue_margins(self._settle_effective)
+        margins = inv_eigenvalue_margins(self.effective)
         return inv_settling_times(margins, self.config.opamp.gbwp_hz)
 
 
@@ -265,15 +257,10 @@ class _NoiseDraws:
         return out
 
     def output(self, indices, raw: np.ndarray) -> np.ndarray:
-        """Add per-operation output noise (scalar ``_add_output_noise``).
-
-        Draws stay float64 (identical streams across precision tiers);
-        the sum is cast back to the operating dtype (no-op on float64).
-        """
+        """Add per-operation output noise (scalar ``_add_output_noise``)."""
         if self.output_sigma == 0.0:
             return raw
-        noisy = raw + self._rows(indices, self.output_sigma, raw.shape[1])
-        return noisy.astype(raw.dtype, copy=False)
+        return raw + self._rows(indices, self.output_sigma, raw.shape[1])
 
     def snh_pair(self, indices, voltages: np.ndarray) -> np.ndarray:
         """Two S&H transfers (output bank then input bank), with noise.
@@ -288,7 +275,7 @@ class _NoiseDraws:
         held = held * self.snh_gain
         if self.snh_sigma > 0.0:
             held = held + self._rows(indices, self.snh_sigma, held.shape[1])
-        return held.astype(voltages.dtype, copy=False)
+        return held
 
 
 class _LazyOffsets:
@@ -383,19 +370,18 @@ class _BatchedOriginalAMC:
         v_sat = config.opamp.v_sat
         acc = _OpAccumulator(trials, v_sat)
         a0 = config.opamp.open_loop_gain
-        cast = config.resolve_backend().cast
 
         def run_subset(k, indices):
             acc.begin(indices)
             sub = _ArrayView(array, indices)
-            v_in = cast(_quantize_batch(k[:, None] * bs[indices], conv.dac_bits, v_fs))
+            v_in = _quantize_batch(k[:, None] * bs[indices], conv.dac_bits, v_fs)
             raw = noise.output(
                 indices,
                 inv_raw(
                     sub.effective,
                     sub.load_row_sums,
                     v_in,
-                    cast(offsets.take(n, indices)),
+                    offsets.take(n, indices),
                     1.0,
                     a0,
                 ),
@@ -407,7 +393,7 @@ class _BatchedOriginalAMC:
         k0 = input_voltage_scale_many(bs, v_fs, self.input_fraction)
         final, k = auto_range_many(run_subset, k0, v_fs)
 
-        x = -_quantize_batch(final["out"], conv.adc_bits, v_fs) / cast(k * scale)[:, None]
+        x = -_quantize_batch(final["out"], conv.adc_bits, v_fs) / (k * scale)[:, None]
         errors = _relative_errors(matrices, bs, x)
         return [
             TrialOutcome(float(errors[t]), bool(acc.saturated[t]), float(acc.settle[t]))
@@ -468,14 +454,13 @@ class _BatchedBlockAMC:
         v_sat = config.opamp.v_sat
         acc = _OpAccumulator(trials, v_sat)
         a0 = config.opamp.open_loop_gain
-        cast = config.resolve_backend().cast
 
         def run_subset(k, indices):
             acc.begin(indices)
             f = k[:, None] * bs[indices, :split]
             g = k[:, None] * bs[indices, split:]
-            v_f = cast(_quantize_batch(f, conv.dac_bits, v_fs))
-            v_g = cast(_quantize_batch(g, conv.dac_bits, v_fs))
+            v_f = _quantize_batch(f, conv.dac_bits, v_fs)
+            v_g = _quantize_batch(g, conv.dac_bits, v_fs)
 
             def view(arr):
                 return _ArrayView(arr, indices)
@@ -483,7 +468,7 @@ class _BatchedBlockAMC:
             a1, a2, a3, a4s = view(arr1), view(arr2), view(arr3), view(arr4s)
             # Stream order per trial matches the scalar schedule exactly:
             # offsets(k), noise1, S&H x2, offsets(m), noise2, S&H x2, ...
-            off_k = cast(offsets.take(k_size, indices))
+            off_k = offsets.take(k_size, indices)
             s1 = acc.add_for(
                 indices,
                 noise.output(
@@ -493,7 +478,7 @@ class _BatchedBlockAMC:
                 settle1[indices],
             )
             h1 = noise.snh_pair(indices, s1)
-            off_m = cast(offsets.take(m_size, indices))
+            off_m = offsets.take(m_size, indices)
             s2 = acc.add_for(
                 indices,
                 noise.output(
@@ -546,7 +531,7 @@ class _BatchedBlockAMC:
         k0 = input_voltage_scale_many(bs, v_fs, self.input_fraction)
         final, k = auto_range_many(run_subset, k0, v_fs)
 
-        x = final["x"] / cast(k * scale)[:, None]
+        x = final["x"] / (k * scale)[:, None]
         errors = _relative_errors(matrices, bs, x)
         return [
             TrialOutcome(float(errors[t]), bool(acc.saturated[t]), float(acc.settle[t]))

@@ -164,17 +164,6 @@ class BatchedFiveStep:
             ),
         }
         self.settle[5] = self.settle[1]
-        # Cast the batch-invariant analog state to the backend tier —
-        # a same-object pass-through on the default float64 backend.
-        # The settling analysis above already ran on the float64
-        # matrices, so timing metadata is tier-independent.
-        bk = config.resolve_backend()
-        self.backend = bk
-        self.eff1, self.eff2 = bk.cast(self.eff1), bk.cast(self.eff2)
-        self.eff3, self.eff4 = bk.cast(self.eff3), bk.cast(self.eff4)
-        self.load2, self.load3 = bk.cast(self.load2), bk.cast(self.load3)
-        load1, load4 = bk.cast(load1), bk.cast(load4)
-        self.off_k, self.off_m = bk.cast(self.off_k), bk.cast(self.off_m)
         # One INV stage each for A1 (steps 1/5) and A4s (step 3): the
         # finite-gain system is assembled and LU-factored once for the
         # whole batch; back-substitution happens per column, so results
@@ -202,7 +191,6 @@ class BatchedFiveStep:
         loading1, loading4 = self.loading1, self.loading4
         off_k, off_m = self.off_k, self.off_m
         v_sat, a0, snh_error = self.v_sat, self.a0, self.snh_error
-        cast = self.backend.cast
 
         def inv_step(fact, loading, off, v_in, input_scale):
             return saturate(fact.solve(inv_rhs(v_in, loading, off, input_scale)), v_sat)
@@ -217,11 +205,10 @@ class BatchedFiveStep:
         def run_subset(k, indices):
             f = k[:, None] * bs[indices, :split]
             g = k[:, None] * bs[indices, split:]
-            # DAC outputs enter the analog tier: cast to backend dtype
-            # (identity on float64). ``f``/``g`` stay float64 for the
-            # exact per-step references.
-            v_f = cast(quantize(f, self.conv.dac_bits))
-            v_g = cast(quantize(g, self.conv.dac_bits))
+            # DAC outputs; ``f``/``g`` are kept for the exact per-step
+            # references.
+            v_f = quantize(f, self.conv.dac_bits)
+            v_g = quantize(g, self.conv.dac_bits)
             s1, sat1 = inv_step(fact1, loading1, off_k, v_f, 1.0)
             h1 = snh_cascade(s1, snh_error)
             s2, sat2 = mvm_step(self.eff3, self.load3, off_m, h1)
@@ -404,9 +391,7 @@ class PreparedBlockAMC(DigitalReference):
 
         x_lower = engine.digitize(final["s3"])
         x_upper = -engine.digitize(final["s5"])
-        # Divisor cast keeps x at the backend dtype (identity on f64);
-        # the digital reference always stays float64.
-        divisor = engine.backend.cast(final_k * self.scale)[:, None]
+        divisor = (final_k * self.scale)[:, None]
         x = np.concatenate([x_upper, x_lower], axis=1) / divisor
         references = self.reference_solve(bs)
 

@@ -59,8 +59,8 @@ import math
 import threading
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
-from repro.core.backend import canonical_dtype, lapack_solvers
 from repro.errors import SolverError, ValidationError
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_in_range, check_vector
@@ -168,6 +168,18 @@ def contract(matrix: np.ndarray, v_in: np.ndarray) -> np.ndarray:
     return np.einsum("...rc,...c->...r", matrix, v_in)
 
 
+_LAPACK = get_lapack_funcs(("getrf", "getrs"), (np.empty((1, 1)),))
+
+
+def lapack_solvers() -> tuple:
+    """The float64 ``(dgetrf, dgetrs)`` SciPy LAPACK pair.
+
+    Every dense factorization of the analog engine goes through this
+    one lookup (:class:`FactoredSystem` calls it on every construction).
+    """
+    return _LAPACK
+
+
 class FactoredSystem:
     """One LU factorization, solved column-by-column, bitwise-stable.
 
@@ -182,12 +194,8 @@ class FactoredSystem:
     ``np.linalg.solve`` would mix two differently-built OpenBLAS
     libraries (NumPy's and SciPy's) whose results differ in low bits.
 
-    The primitive is dtype-generic over the backend seam
-    (:mod:`repro.core.backend`): a float32 matrix factors and solves
-    through ``sgetrf``/``sgetrs``, anything else through the float64
-    pair the engine always used, and right-hand sides are coerced to
-    the matrix dtype — so the float64 path is byte-identical to the
-    pre-seam kernel.
+    Matrices and right-hand sides are coerced to float64 and solved
+    through ``dgetrf``/``dgetrs`` (:func:`lapack_solvers`).
 
     One instance may be shared by threads (a prepared solver's LUs are
     built once and reused), so :meth:`solve` holds a per-instance lock:
@@ -198,8 +206,8 @@ class FactoredSystem:
     """
 
     def __init__(self, matrix: np.ndarray, what: str = "effective block matrix"):
-        matrix = np.asarray(matrix, dtype=canonical_dtype(np.asarray(matrix).dtype))
-        getrf, getrs = lapack_solvers(matrix.dtype)
+        matrix = np.asarray(matrix, dtype=np.float64)
+        getrf, getrs = lapack_solvers()
         lu, piv, info = getrf(matrix)
         if info > 0:
             raise SolverError(f"{what} is singular: zero pivot at position {info - 1}")
@@ -215,7 +223,7 @@ class FactoredSystem:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for ``(n,)`` or row-stacked ``(rhs, n)`` right-hand sides."""
         getrs, lu, piv = self._getrs, self._lu, self._piv
-        rhs = np.ascontiguousarray(rhs, dtype=self.matrix.dtype)
+        rhs = np.ascontiguousarray(rhs, dtype=np.float64)
         with self._lock:
             if rhs.ndim == 1:
                 x, info = getrs(lu, piv, rhs)
@@ -297,14 +305,9 @@ def inv_loading(load_row_sums: np.ndarray, input_scale) -> np.ndarray:
     """Total conductance loading each INV summing node: ``s + L_i``.
 
     ``input_scale`` is a float (scalar / multi-RHS shapes) or a
-    per-trial ``(trials,)`` array (trial-batched shape). Pinned to the
-    loading dtype so a float32-tier loading stays float32 (a bare 0-d
-    ``np.asarray`` is NEP-50 "strong" and would upcast); for float64
-    loadings this is bit-identical to the unpinned arithmetic.
+    per-trial ``(trials,)`` array (trial-batched shape).
     """
-    load_row_sums = np.asarray(load_row_sums)
-    scale = np.asarray(input_scale, dtype=load_row_sums.dtype)
-    return scale[..., None] + load_row_sums
+    return np.asarray(input_scale)[..., None] + load_row_sums
 
 
 def inv_system(
@@ -327,12 +330,10 @@ def inv_rhs(
 ) -> np.ndarray:
     """INV right-hand side ``-s * v_in + (s + L) * vos``.
 
-    ``input_scale`` is pinned to the ``v_in`` dtype (same NEP-50
-    rationale as :func:`inv_loading`; bit-identical for float64).
+    ``input_scale`` is a float or a per-trial ``(trials,)`` array, like
+    :func:`inv_loading`'s.
     """
-    v_in = np.asarray(v_in)
-    scale = np.asarray(input_scale, dtype=v_in.dtype)
-    rhs = -scale[..., None] * v_in
+    rhs = -np.asarray(input_scale)[..., None] * v_in
     if offsets is not None:
         rhs = rhs + loading * offsets
     return rhs
@@ -476,11 +477,6 @@ def auto_range_many(run, k0: np.ndarray, v_fs: float):
     final_k = k0.copy()
     for attempt in range(MAX_RANGING_ATTEMPTS):
         peaks, payload = run(k[active], active)
-        # Rescale arithmetic always runs in float64, exactly like the
-        # scalar loop whose ``peak`` is a Python float: a float32 tier's
-        # peaks convert exactly, and the per-column scales stay full
-        # precision. Same-object no-op for float64 peaks.
-        peaks = np.asarray(peaks, dtype=np.float64)
         if attempt == MAX_RANGING_ATTEMPTS - 1:
             accept = np.ones_like(peaks, dtype=bool)
         else:

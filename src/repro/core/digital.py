@@ -48,7 +48,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.backend import get_backend
 from repro.core.solution import SolveResult
 from repro.errors import ConvergenceError, SolverError, ValidationError
 from repro.utils.validation import check_square_matrix, check_vector
@@ -99,32 +98,27 @@ class DigitalDirectSolver:
         return SolveResult(x=x, reference=x.copy(), solver=self.name)
 
 
-def _setup(matrix, b, x0, backend=None):
+def _setup(matrix, b, x0):
     matrix = check_square_matrix(matrix)
     b = check_vector(b, "b", size=matrix.shape[0])
     if x0 is None:
         x = np.zeros_like(b)
     else:
         x = check_vector(x0, "x0", size=b.size).copy()
-    if backend is not None:
-        # Opt-in precision tier: iterate at the backend dtype. The
-        # default (backend=None) path is untouched — no cast, float64.
-        bk = get_backend(backend)
-        matrix, b, x = bk.cast(matrix), bk.cast(b), bk.cast(x)
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         raise SolverError("b must be non-zero")
     return matrix, b, x, b_norm
 
 
-def jacobi(matrix, b, x0=None, tol=DEFAULT_TOL, max_iter=10_000, backend=None) -> IterativeResult:
+def jacobi(matrix, b, x0=None, tol=DEFAULT_TOL, max_iter=10_000) -> IterativeResult:
     """Jacobi iteration ``x <- D^-1 (b - (A - D) x)``.
 
     Converges for strictly diagonally dominant matrices; may diverge
     otherwise (reported via ``converged=False`` once the budget runs out,
     or :class:`ConvergenceError` on numerical blow-up).
     """
-    matrix, b, x, b_norm = _setup(matrix, b, x0, backend)
+    matrix, b, x, b_norm = _setup(matrix, b, x0)
     diag = np.diag(matrix)
     if np.any(diag == 0.0):
         raise SolverError("Jacobi requires a zero-free diagonal")
@@ -141,9 +135,9 @@ def jacobi(matrix, b, x0=None, tol=DEFAULT_TOL, max_iter=10_000, backend=None) -
     return IterativeResult(x, max_iter, tuple(residuals), False, "jacobi")
 
 
-def gauss_seidel(matrix, b, x0=None, tol=DEFAULT_TOL, max_iter=10_000, backend=None) -> IterativeResult:
+def gauss_seidel(matrix, b, x0=None, tol=DEFAULT_TOL, max_iter=10_000) -> IterativeResult:
     """Gauss-Seidel iteration (forward sweep)."""
-    matrix, b, x, b_norm = _setup(matrix, b, x0, backend)
+    matrix, b, x, b_norm = _setup(matrix, b, x0)
     n = b.size
     diag = np.diag(matrix)
     if np.any(diag == 0.0):
@@ -162,13 +156,13 @@ def gauss_seidel(matrix, b, x0=None, tol=DEFAULT_TOL, max_iter=10_000, backend=N
     return IterativeResult(x, max_iter, tuple(residuals), False, "gauss-seidel")
 
 
-def richardson(matrix, b, x0=None, omega=None, tol=DEFAULT_TOL, max_iter=10_000, backend=None) -> IterativeResult:
+def richardson(matrix, b, x0=None, omega=None, tol=DEFAULT_TOL, max_iter=10_000) -> IterativeResult:
     """Richardson iteration ``x <- x + omega (b - A x)``.
 
     ``omega=None`` picks the optimal step ``2 / (lambda_min + lambda_max)``
     for symmetric positive definite matrices.
     """
-    matrix, b, x, b_norm = _setup(matrix, b, x0, backend)
+    matrix, b, x, b_norm = _setup(matrix, b, x0)
     if omega is None:
         eigenvalues = np.linalg.eigvalsh((matrix + matrix.T) / 2.0)
         lo, hi = float(eigenvalues[0]), float(eigenvalues[-1])
@@ -188,9 +182,9 @@ def richardson(matrix, b, x0=None, omega=None, tol=DEFAULT_TOL, max_iter=10_000,
     return IterativeResult(x, max_iter, tuple(residuals), False, "richardson")
 
 
-def conjugate_gradient(matrix, b, x0=None, tol=DEFAULT_TOL, max_iter=None, backend=None) -> IterativeResult:
+def conjugate_gradient(matrix, b, x0=None, tol=DEFAULT_TOL, max_iter=None) -> IterativeResult:
     """Conjugate gradients for symmetric positive definite systems."""
-    matrix, b, x, b_norm = _setup(matrix, b, x0, backend)
+    matrix, b, x, b_norm = _setup(matrix, b, x0)
     n = b.size
     if max_iter is None:
         max_iter = 10 * n
@@ -218,9 +212,9 @@ def conjugate_gradient(matrix, b, x0=None, tol=DEFAULT_TOL, max_iter=None, backe
     return IterativeResult(x, max_iter, tuple(residuals), False, "cg")
 
 
-def gmres(matrix, b, x0=None, tol=DEFAULT_TOL, max_iter=None, restart=None, backend=None) -> IterativeResult:
+def gmres(matrix, b, x0=None, tol=DEFAULT_TOL, max_iter=None, restart=None) -> IterativeResult:
     """GMRES with optional restarts (plain Arnoldi + Givens rotations)."""
-    matrix, b, x, b_norm = _setup(matrix, b, x0, backend)
+    matrix, b, x, b_norm = _setup(matrix, b, x0)
     n = b.size
     if max_iter is None:
         max_iter = 10 * n

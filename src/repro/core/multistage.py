@@ -206,7 +206,6 @@ class _TiledMVM:
             row_bounds = list(
                 zip(self.row_starts, self.row_starts[1:] + [self.rows])
             )
-            bk = config.resolve_backend()
             self._batch_tiles = [
                 (
                     ri,
@@ -214,11 +213,9 @@ class _TiledMVM:
                     r0,
                     r1,
                     array,
-                    # Analog operands at the backend tier (identity on
-                    # float64); ideal matrix and settle stay float64.
-                    bk.cast(array.effective_matrix(config.parasitics)),
-                    bk.cast(array.load_row_sums()),
-                    bk.cast(self.ops._draw_offsets(array.shape[0], rng)),
+                    array.effective_matrix(config.parasitics),
+                    array.load_row_sums(),
+                    self.ops._draw_offsets(array.shape[0], rng),
                     array.ideal_matrix(),
                     mvm_settling_time(
                         np.asarray(array.g_pos) + np.asarray(array.g_neg),
@@ -232,14 +229,11 @@ class _TiledMVM:
                 if (array := self.arrays.get((ri, ci))) is not None
             ]
         tiles = self._batch_tiles
-        cast = config.resolve_backend().cast
 
         def run_subset(k, indices):
             chunks = [
-                cast(
-                    quantize_voltages(
-                        k[:, None] * v_rows[indices, c0:c1], conv.dac_bits, v_fs
-                    )
+                quantize_voltages(
+                    k[:, None] * v_rows[indices, c0:c1], conv.dac_bits, v_fs
                 )
                 for c0, c1 in col_bounds
             ]
@@ -352,7 +346,7 @@ class _MacroNode:
         x_upper = -engine.digitize(final["s5"])
         x_lower = engine.digitize(final["s3"])
         solution = np.concatenate([x_upper, x_lower], axis=1)
-        return solution / engine.backend.cast(final_k * self.scale)[:, None]
+        return solution / (final_k * self.scale)[:, None]
 
 
 class _DirectInvNode:
@@ -402,25 +396,22 @@ class _DirectInvNode:
         conv = config.converters
         v_fs = conv.v_fs
         rows, cols = self.array.shape
-        bk = config.resolve_backend()
         if self._batch_state is None:
             effective = self.array.effective_matrix(config.parasitics)
-            # Settling analysis runs on the float64 matrix; the solve
-            # state drops to the backend tier (identity on float64).
-            loading = inv_loading(bk.cast(self.array.load_row_sums()), 1.0)
+            loading = inv_loading(self.array.load_row_sums(), 1.0)
             self._batch_state = (
-                bk.cast(self.ops._draw_offsets(rows, rng)),
+                self.ops._draw_offsets(rows, rng),
                 loading,
                 FactoredSystem(
-                    inv_system(bk.cast(effective), loading, config.opamp.open_loop_gain)
+                    inv_system(effective, loading, config.opamp.open_loop_gain)
                 ),
                 self.ops._inv_settle(self.array),
             )
         offsets, loading, fact, settle = self._batch_state
 
         def run_subset(k, indices):
-            v_in = bk.cast(
-                quantize_voltages(k[:, None] * rhs_rows[indices], conv.dac_bits, v_fs)
+            v_in = quantize_voltages(
+                k[:, None] * rhs_rows[indices], conv.dac_bits, v_fs
             )
             raw = fact.solve(inv_rhs(v_in, loading, offsets, 1.0))
             clipped, sat = saturate(raw, config.opamp.v_sat)
@@ -445,7 +436,7 @@ class _DirectInvNode:
         tally.dac_conversions += 1
         tally.adc_conversions += 1
         digitized = quantize_voltages(final["out"], conv.adc_bits, v_fs)
-        return -digitized / bk.cast(final_k * self.scale)[:, None]
+        return -digitized / (final_k * self.scale)[:, None]
 
 
 class _DigitalGlueNode:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.backend import get_backend
 from repro.core.digital import (
     BREAKDOWN_TOL,
     DEFAULT_TOL,
@@ -36,7 +35,6 @@ def fgmres(
     tol: float = DEFAULT_TOL,
     max_iter: int | None = None,
     restart: int = 30,
-    backend=None,
 ) -> IterativeResult:
     """Flexible GMRES: right preconditioning with a varying operator.
 
@@ -55,10 +53,6 @@ def fgmres(
         Total matrix-vector product budget (default ``10 n``).
     restart:
         Krylov subspace dimension between restarts.
-    backend:
-        Optional precision tier (a :mod:`repro.core.backend` name):
-        ``matrix``/``b``/``x0`` are cast to the backend dtype on entry.
-        ``None`` (default) leaves the float64 path untouched.
 
     Returns
     -------
@@ -68,9 +62,6 @@ def fgmres(
     """
     matrix = check_square_matrix(matrix)
     b = check_vector(b, "b", size=matrix.shape[0])
-    if backend is not None:
-        bk = get_backend(backend)
-        matrix, b = bk.cast(matrix), bk.cast(b)
     n = b.size
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
@@ -81,8 +72,6 @@ def fgmres(
         max_iter = 10 * n
 
     x = np.zeros_like(b) if x0 is None else check_vector(x0, "x0", size=n).copy()
-    if backend is not None:
-        x = get_backend(backend).cast(x)
     residuals = [float(np.linalg.norm(b - matrix @ x)) / b_norm]
     if residuals[0] <= tol:
         return IterativeResult(x, 0, tuple(residuals), True, "fgmres")

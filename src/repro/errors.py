@@ -32,10 +32,6 @@ class ValidationError(ReproError, ValueError):
     """An argument failed validation (bad shape, dtype, range, ...)."""
 
 
-class BackendError(ReproError):
-    """An array backend is unknown or unavailable in this environment."""
-
-
 class DeviceError(ReproError):
     """A device model constraint was violated (conductance range, levels)."""
 

@@ -54,20 +54,12 @@ SOLVER_KINDS: dict[str, Callable] = {
 
 @dataclass(frozen=True)
 class PreparedKey:
-    """Cache identity of one programmed solver.
-
-    ``backend`` names the precision tier the solver's kernel runs at
-    (belt-and-braces with ``config_key``, which already covers the
-    hardware's backend field, and with ``matrix_digest``, which hashes
-    the canonical dtype: the tier is explicit in the key so two tiers
-    can never alias even if a future config digest drops the field).
-    """
+    """Cache identity of one programmed solver."""
 
     matrix_digest: str
     config_key: str
     solver: str
     prep_seed: int
-    backend: str = "numpy"
 
     def shard(self, shards: int) -> int:
         """Owning shard index: hash of the *matrix* digest only.

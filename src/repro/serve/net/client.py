@@ -4,8 +4,7 @@
 immediately, a background reader thread matches out-of-order responses
 by request id, and results re-materialize as
 :class:`~repro.core.solution.LeanSolveResult` with the server's exact
-bits at the server's exact dtype (the wire carries raw array bytes plus
-per-blob dtypes — see ``protocol.py``).
+bits (the wire carries raw float64 array bytes — see ``protocol.py``).
 
 Matrix transfer is content-addressed: the first submit of a digest sends
 the matrix payload, later submits send the digest alone. When the server
@@ -39,9 +38,9 @@ from repro.obs import tracer as obs
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.net.protocol import (
     STATUS_UNKNOWN_DIGEST,
-    array_dtype_name,
     array_from_bytes,
     array_to_bytes,
+    check_wire_dtypes,
     encode_frame,
     recv_frame,
 )
@@ -182,11 +181,6 @@ class NetClient:
         arrays = [call.ticket.request.b]
         if with_matrix:
             arrays.append(call.matrix)
-        # Per-blob dtypes keep float32 payloads float32 on the wire (old
-        # servers that ignore the field read them as garbage-sized
-        # float64 and answer with a typed size-mismatch error, never a
-        # silent upcast).
-        call.header["dtypes"] = [array_dtype_name(a) for a in arrays]
         self._send(encode_frame(call.header, [array_to_bytes(a) for a in arrays]))
 
     def solve(self, matrix, b, timeout: float | None = None, **kwargs):
@@ -325,12 +319,10 @@ class NetClient:
         telemetry = header.get("telemetry", {})
         ticket.status = header.get("status")
         ticket.telemetry = telemetry
-        # Absent/short ``dtypes`` means float64 (old-server interop).
-        dtypes = header.get("dtypes") or []
-        dtypes = list(dtypes) + ["float64"] * (len(blobs) - len(dtypes))
+        check_wire_dtypes(header)
         result = LeanSolveResult(
-            x=array_from_bytes(blobs[0], (n,), dtypes[0]),
-            reference=array_from_bytes(blobs[1], (n,), dtypes[1]),
+            x=array_from_bytes(blobs[0], (n,)),
+            reference=array_from_bytes(blobs[1], (n,)),
             solver=telemetry.get("solver", "unknown"),
             saturated=bool(telemetry.get("saturated", False)),
             analog_time_s=float(telemetry.get("analog_time_s", 0.0)),

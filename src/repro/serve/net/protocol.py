@@ -12,13 +12,11 @@ The JSON header holds the typed fields (message ``type``, request
 matrix, the right-hand side, solution blocks — travel as raw C-order
 bytes in the binary section, so a round-trip is **bit-exact**: no
 decimal formatting, no JSON float parsing, no pickling. ``blobs`` in
-the header lists the byte length of each binary block in order, and an
-optional ``dtypes`` list names each block's element dtype
-(``"float64"`` or ``"float32"``). A missing/short ``dtypes`` list means
-float64 for the unnamed blocks — exactly the historical wire form, so
-new peers interoperate with old ones in both directions. (The codec
-used to hard-code float64, silently upcasting float32 payloads in
-transit and breaking the precision-tier contract end to end.)
+the header lists the byte length of each binary block in order. Every
+block is float64. A peer may still send an optional ``dtypes`` list
+naming each block's element dtype; it is accepted when every entry is
+``"float64"`` and refused with :class:`~repro.errors.WireProtocolError`
+otherwise (:func:`check_wire_dtypes`).
 
 Message vocabulary (requests → responses):
 
@@ -50,7 +48,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.backend import canonical_dtype
 from repro.errors import WireProtocolError
 
 __all__ = [
@@ -65,9 +62,9 @@ __all__ = [
     "STATUS_SHARD_FAILED",
     "STATUS_SHED",
     "STATUS_UNKNOWN_DIGEST",
-    "array_dtype_name",
     "array_from_bytes",
     "array_to_bytes",
+    "check_wire_dtypes",
     "decode_frame",
     "encode_frame",
     "read_frame",
@@ -95,61 +92,50 @@ STATUS_CLOSED = "closed"
 STATUS_FAILED = "failed"
 
 
-#: Element dtypes a binary block may declare. The wire speaks canonical
-#: tiers only: float32 travels as-is, everything else as float64.
-_WIRE_DTYPES: dict[str, np.dtype] = {
-    "float64": np.dtype(np.float64),
-    "float32": np.dtype(np.float32),
-}
-
-
-def array_dtype_name(array: np.ndarray) -> str:
-    """The wire dtype name :func:`array_to_bytes` will encode ``array`` at.
-
-    This is what belongs in the header's ``dtypes`` list for the
-    corresponding blob.
-    """
-    return canonical_dtype(np.asarray(array).dtype).name
+_FLOAT64 = np.dtype(np.float64)
 
 
 def array_to_bytes(array: np.ndarray) -> bytes:
-    """Raw C-order bytes of an array (the bit-exact wire form).
+    """Raw C-order float64 bytes of an array (the bit-exact wire form)."""
+    return np.ascontiguousarray(array, dtype=_FLOAT64).tobytes()
 
-    float32 arrays stay float32; every other dtype coerces to float64
-    (matching :func:`repro.core.backend.canonical_dtype`, so the wire
-    can never smuggle a dtype the engines don't speak).
+
+def check_wire_dtypes(header: dict) -> None:
+    """Refuse a frame whose ``dtypes`` list names anything but float64.
+
+    The field is optional: a frame without it, or with every entry
+    ``"float64"`` (what older peers send), decodes as float64.
     """
-    array = np.asarray(array)
-    return np.ascontiguousarray(
-        array, dtype=canonical_dtype(array.dtype)
-    ).tobytes()
+    dtypes = header.get("dtypes")
+    if dtypes is None:
+        return
+    if not isinstance(dtypes, list):
+        raise WireProtocolError("binary blocks are float64 only; dtypes must be a list")
+    for name in dtypes:
+        if name != "float64":
+            # Bounded echo: the header is peer-controlled.
+            raise WireProtocolError(
+                f"binary blocks are float64 only, got dtype {str(name)[:32]!r}"
+            )
 
 
-def array_from_bytes(blob, shape: tuple[int, ...], dtype: str = "float64") -> np.ndarray:
-    """Inverse of :func:`array_to_bytes`; validates dtype and byte count.
+def array_from_bytes(blob, shape: tuple[int, ...]) -> np.ndarray:
+    """Inverse of :func:`array_to_bytes`; validates the byte count.
 
-    ``dtype`` is the wire name from the header's ``dtypes`` list
-    (callers pass ``"float64"`` when the peer omitted it — the
-    old-protocol default). Raises :class:`WireProtocolError` for an
-    unknown dtype name, a shape that is not a tuple of non-negative
-    integers, or a blob whose size disagrees with ``shape`` x itemsize.
+    Raises :class:`WireProtocolError` for a shape that is not a tuple of
+    non-negative integers, or a blob whose size disagrees with ``shape``.
     """
-    dt = _WIRE_DTYPES.get(dtype) if isinstance(dtype, str) else None
-    if dt is None:
-        raise WireProtocolError(
-            f"unknown wire dtype {dtype!r} (known: {sorted(_WIRE_DTYPES)})"
-        )
     if not isinstance(shape, tuple) or not all(_is_count(d) for d in shape):
         raise WireProtocolError(f"invalid array shape {shape!r}")
     # Python integers: np.prod would wrap a hostile shape to a small size.
-    expected = math.prod(int(d) for d in shape) * dt.itemsize
+    expected = math.prod(int(d) for d in shape) * _FLOAT64.itemsize
     if len(blob) != expected:
         raise WireProtocolError(
             f"binary block holds {len(blob)} bytes, expected {expected} "
-            f"for {dt.name} shape {shape}"
+            f"for float64 shape {shape}"
         )
     try:
-        return np.frombuffer(bytes(blob), dtype=dt).reshape(shape)
+        return np.frombuffer(bytes(blob), dtype=_FLOAT64).reshape(shape)
     except (ValueError, OverflowError) as exc:
         # An empty block with a zero extent next to one NumPy cannot index.
         raise WireProtocolError(f"invalid array shape {shape!r}: {exc}") from None

@@ -46,9 +46,9 @@ from repro.serve.net.protocol import (
     STATUS_FAILED,
     STATUS_OVERLOADED,
     STATUS_SHED,
-    array_dtype_name,
     array_from_bytes,
     array_to_bytes,
+    check_wire_dtypes,
     encode_frame,
     read_frame,
 )
@@ -339,15 +339,9 @@ class NetServer:
         n = header.get("n")
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise WireProtocolError(f"solve request needs a positive integer n, got {n!r}")
-        # Per-blob dtypes; absent/short list means float64 (old clients).
-        dtypes = header.get("dtypes") or []
-        if not isinstance(dtypes, list):
-            raise WireProtocolError(f"dtypes must be a list, got {dtypes!r}")
-        dtypes = dtypes + ["float64"] * (len(blobs) - len(dtypes))
-        b = array_from_bytes(blobs[0], (n,), dtypes[0])
-        matrix = (
-            array_from_bytes(blobs[1], (n, n), dtypes[1]) if len(blobs) > 1 else None
-        )
+        check_wire_dtypes(header)
+        b = array_from_bytes(blobs[0], (n,))
+        matrix = array_from_bytes(blobs[1], (n, n)) if len(blobs) > 1 else None
         digest = header.get("digest")
         if digest is None:
             if matrix is None:
@@ -382,12 +376,6 @@ class NetServer:
                     "id": request_id,
                     "status": outcome.status,
                     "telemetry": outcome.telemetry,
-                    # Dtype-tagged blobs: a float32-tier x rides next to
-                    # its float64 digital reference without upcasting.
-                    "dtypes": [
-                        array_dtype_name(outcome.x),
-                        array_dtype_name(outcome.reference),
-                    ],
                 },
                 [array_to_bytes(outcome.x), array_to_bytes(outcome.reference)],
             )

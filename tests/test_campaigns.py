@@ -96,6 +96,13 @@ class TestSpec:
             assert clone == spec
             assert clone.digest() == spec.digest()
 
+    def test_registered_digest_pinned(self):
+        # A spec's digest keys its resumable store: a changed digest
+        # orphans every store already on disk.
+        assert get_campaign("fig7-variation", quick=True).digest() == (
+            "ad5eb0c7dbdf562de6f7ac6649245bcfd1b613cef6b456c06186037dc6df8b87"
+        )
+
     def test_digest_changes_with_any_parameter(self):
         base = TINY.digest()
         import dataclasses
@@ -172,6 +179,8 @@ class TestSpec:
             {"title": "no name"},
             [1, 2],
             "fig7",
+            # the float64-only kernel has no precision-tier key any more
+            {"name": "x", "backend": "numpy"},
         ],
     )
     def test_from_dict_rejects_malformed_payloads(self, payload):

@@ -961,105 +961,6 @@ class TestGainRangingEdgeCases:
 
 
 # ----------------------------------------------------------------------
-# float32 precision tier: the documented tolerance contract, on the grid
-# ----------------------------------------------------------------------
-
-
-def _f32(config: HardwareConfig) -> HardwareConfig:
-    return config.with_(backend="numpy-f32")
-
-
-class TestFloat32Tier:
-    """``numpy-f32`` satisfies :data:`repro.core.backend.F32_TOLERANCE`.
-
-    Bit-identity to float64 is meaningless at this tier (converter code
-    flips at LSB boundaries); the contract is the relative-L1 bound the
-    backend declares, checked on the full config x matrix-family grid.
-    Within the tier, however, the kernel's shape-equivalence guarantees
-    still hold bit-exactly — scalar and batched float32 runs produce the
-    same float32 bits.
-    """
-
-    @pytest.mark.parametrize("config_name", sorted(CONFIGS))
-    @pytest.mark.parametrize("family", sorted(MATRIX_FAMILIES))
-    def test_solution_within_contract(self, config_name, family):
-        from repro.core.backend import get_backend
-
-        config = CONFIGS[config_name]
-        matrix = MATRIX_FAMILIES[family](12, np.random.default_rng(0))
-        b = random_vector(12, rng=1)
-        ref = BlockAMCSolver(config).solve(matrix, b, rng=7)
-        f32 = BlockAMCSolver(_f32(config)).solve(matrix, b, rng=7)
-        tolerance = get_backend("numpy-f32").tolerance
-        assert f32.x.dtype == np.float32
-        assert ref.x.dtype == np.float64
-        assert tolerance.admits(f32.x, ref.x), (
-            f"deviation {tolerance.deviation(f32.x, ref.x):.3e} exceeds "
-            f"the f32 tier contract for {config_name}/{family}"
-        )
-        # The digital reference is precision-tier-independent: always
-        # float64, bit-identical across tiers.
-        assert f32.reference.dtype == np.float64
-        assert np.array_equal(f32.reference, ref.reference)
-
-    @pytest.mark.parametrize("config_name", ["ideal", "variation", "output_noise"])
-    def test_scalar_vs_batched_bit_identical_within_tier(self, config_name):
-        """Tier changes precision, not the shape-equivalence contract."""
-        config = _f32(CONFIGS[config_name])
-        factory = MATRIX_FAMILIES["wishart"]
-        seq = run_trials(
-            {"orig": lambda: OriginalAMCSolver(config),
-             "block": lambda: BlockAMCSolver(config)},
-            factory, (6, 10), 3, seed=70,
-        )
-        bat = run_trials_batched(
-            {"orig": OriginalAMCSolver(config),
-             "block": BlockAMCSolver(config)},
-            factory, (6, 10), 3, seed=70,
-        )
-        _records_exactly_equal(seq, bat)
-
-    def test_solve_many_bit_identical_within_tier(self):
-        config = _f32(CONFIGS["variation"])
-        matrix = wishart_matrix(12, rng=0)
-        rhs = [random_vector(12, rng=i + 1) for i in range(4)]
-        prep_seq = BlockAMCSolver(config).prepare(matrix, rng=5)
-        gen = np.random.default_rng(9)
-        sequential = [prep_seq.solve(b, gen) for b in rhs]
-        prep_many = BlockAMCSolver(config).prepare(matrix, rng=5)
-        batched = prep_many.solve_many(rhs, np.random.default_rng(9))
-        for s, b in zip(sequential, batched):
-            assert s.x.dtype == np.float32 and b.x.dtype == np.float32
-            _results_exactly_equal(s, b)
-
-    def test_multistage_f32_within_contract(self):
-        config = CONFIGS["variation"]
-        matrix = wishart_matrix(16, np.random.default_rng(4))
-        b = random_vector(16, rng=2)
-        ref = MultiStageSolver(config, stages=2).prepare(matrix, rng=5).solve(
-            b, np.random.default_rng(9)
-        )
-        f32 = MultiStageSolver(_f32(config), stages=2).prepare(matrix, rng=5).solve(
-            b, np.random.default_rng(9)
-        )
-        from repro.core.backend import F32_TOLERANCE
-
-        assert f32.x.dtype == np.float32
-        assert F32_TOLERANCE.admits(f32.x, ref.x)
-
-    def test_relative_error_stays_small_at_f32(self):
-        """The paper's Eq. 6 metric barely moves at the f32 tier — the
-        analog nonidealities dominate float32 rounding by orders of
-        magnitude."""
-        config = CONFIGS["variation"]
-        matrix = wishart_matrix(12, np.random.default_rng(1))
-        b = random_vector(12, rng=3)
-        ref = OriginalAMCSolver(config).solve(matrix, b, rng=7)
-        f32 = OriginalAMCSolver(_f32(config)).solve(matrix, b, rng=7)
-        assert abs(f32.relative_error - ref.relative_error) < 5e-3
-
-
-# ----------------------------------------------------------------------
 # drift guards: a skewed copy of the physics fails this suite
 # ----------------------------------------------------------------------
 

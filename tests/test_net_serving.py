@@ -55,6 +55,7 @@ from repro.serve.net.protocol import (
     STATUS_UNKNOWN_DIGEST,
     array_from_bytes,
     array_to_bytes,
+    check_wire_dtypes,
     decode_frame,
     encode_frame,
     recv_frame,
@@ -151,8 +152,8 @@ class TestWireProtocol:
         for shape in [(-1, -1), (True,), ("a",), [1]]:
             with pytest.raises(WireProtocolError, match="shape"):
                 array_from_bytes(b"\x00" * 8, shape)
-        with pytest.raises(WireProtocolError, match="dtype"):
-            array_from_bytes(b"\x00" * 8, (1,), ["float64"])
+        with pytest.raises(WireProtocolError, match="dtypes"):
+            check_wire_dtypes({"dtypes": "float64"})
         # a shape whose int64 product wraps to 0 bytes, and an empty
         # block with an extent NumPy cannot index
         with pytest.raises(WireProtocolError, match="expected"):
@@ -680,80 +681,54 @@ class TestNetChaos:
 
 
 # ----------------------------------------------------------------------
-# precision tiers on the wire and in shared memory
+# one element dtype on the wire and in shared memory
 # ----------------------------------------------------------------------
 
 
 class TestWireDtypes:
-    """Regression: the codec carried raw bytes but decoded every blob as
-    float64 — a float32 solution either crashed reshape (half the bytes)
-    or, when sizes collided, silently reinterpreted bit patterns."""
-
-    def test_f32_round_trip_preserves_dtype_and_bits(self):
-        from repro.serve.net.protocol import array_dtype_name
-
-        x = np.random.default_rng(0).standard_normal(9).astype(np.float32)
-        blob = array_to_bytes(x)
-        assert len(blob) == 9 * 4
-        assert array_dtype_name(x) == "float32"
-        decoded = array_from_bytes(blob, (9,), "float32")
-        assert decoded.dtype == np.float32
-        assert np.array_equal(decoded, x)
+    """Every binary block is float64. A frame may carry a ``dtypes`` list
+    (older peers send one per blob): it decodes when absent or when every
+    entry is ``"float64"``, and is refused with a typed error otherwise."""
 
     def test_missing_dtype_defaults_to_float64(self):
-        # old-peer interop: pre-tier peers never send the dtypes list
+        # old-peer interop: peers send no dtypes list, or an all-float64 one
         x = np.random.default_rng(1).standard_normal(5)
         assert np.array_equal(array_from_bytes(array_to_bytes(x), (5,)), x)
+        check_wire_dtypes({"type": "solve"})
+        for dtypes in (None, [], ["float64"], ["float64", "float64"]):
+            check_wire_dtypes({"dtypes": dtypes})
 
     def test_unknown_dtype_name_is_typed(self):
-        with pytest.raises(WireProtocolError, match="unknown wire dtype"):
-            array_from_bytes(b"\x00" * 8, (2,), "float16")
+        for dtypes in (["float32"], ["float64", "float16"], [None], "float64", {}):
+            with pytest.raises(WireProtocolError, match="float64 only"):
+                check_wire_dtypes({"dtypes": dtypes})
 
     def test_size_mismatch_is_typed_per_dtype(self):
+        # a float32 payload holds half the bytes of the float64 block
         blob = np.zeros(4, dtype=np.float32).tobytes()
-        # correct under f32, a typed refusal under the f64 default
-        assert array_from_bytes(blob, (4,), "float32").dtype == np.float32
         with pytest.raises(WireProtocolError, match="expected"):
             array_from_bytes(blob, (4,))
 
     def test_exotic_dtypes_canonicalize_to_f64_on_the_wire(self):
-        from repro.serve.net.protocol import array_dtype_name
-
-        ints = np.arange(4)
-        assert array_dtype_name(ints) == "float64"
-        decoded = array_from_bytes(array_to_bytes(ints), (4,))
-        assert decoded.dtype == np.float64 and np.array_equal(decoded, ints)
+        for array in (np.arange(4), np.arange(4, dtype=np.float32)):
+            blob = array_to_bytes(array)
+            assert len(blob) == 4 * 8
+            decoded = array_from_bytes(blob, (4,))
+            assert decoded.dtype == np.float64 and np.array_equal(decoded, array)
 
 
 class TestSharedMemoryDtypes:
-    """Regression: the transport hardwired ``dtype=float`` on both ends;
-    float32 blocks were silently upcast on publish, and a publisher /
-    consumer dtype disagreement reinterpreted raw bytes undetected."""
+    """Both regions of a published block are float64, whatever the
+    publisher hands in, and a size disagreement between publisher and
+    consumer is detected rather than reinterpreted."""
 
-    def test_f32_block_round_trips_at_f32(self):
-        rng = np.random.default_rng(3)
-        xs = rng.standard_normal((2, 5)).astype(np.float32)
-        refs = rng.standard_normal((2, 5)).astype(np.float32)
-        ref = publish_block(xs, refs)
-        assert ref.dtype_x == "float32" and ref.dtype_ref == "float32"
-        block = AttachedBlock(ref)
-        for i in range(2):
-            x, reference = block.row(i)
-            assert x.dtype == np.float32 and reference.dtype == np.float32
-            assert np.array_equal(x, xs[i])
-            assert np.array_equal(reference, refs[i])
-
-    def test_mixed_dtype_regions_do_not_promote(self):
-        # the service's real shape: float32-tier solutions next to the
-        # always-float64 digital references
+    def test_non_float64_rows_publish_as_float64(self):
         rng = np.random.default_rng(4)
         xs = rng.standard_normal((3, 4)).astype(np.float32)
         refs = rng.standard_normal((3, 4))
-        ref = publish_block(xs, refs)
-        assert ref.dtype_x == "float32" and ref.dtype_ref == "float64"
-        block = AttachedBlock(ref)
+        block = AttachedBlock(publish_block(xs, refs))
         x, reference = block.row(1)
-        assert x.dtype == np.float32 and np.array_equal(x, xs[1])
+        assert x.dtype == np.float64 and np.array_equal(x, xs[1])
         assert reference.dtype == np.float64 and np.array_equal(reference, refs[1])
         block.release()
 
@@ -770,53 +745,52 @@ class TestSharedMemoryDtypes:
         AttachedBlock(ref).release()
 
     def test_inline_payload_size_checked_exactly(self):
-        from dataclasses import replace
-
-        ref = publish_block(np.ones((2, 3), dtype=np.float32), np.ones((2, 3)))
-        if not ref.inline:
-            block = AttachedBlock(ref)
-            block.release()
-        bad = BlockRef(
-            name=None, batch=2, n=3, payload=b"\x00" * 10,
-            dtype_x="float32", dtype_ref="float64",
-        )
+        # 2 x 3 float32 rows next to 2 x 3 float64 rows: not a float64 block
+        bad = BlockRef(name=None, batch=2, n=3, payload=b"\x00" * (6 * 4 + 6 * 8))
         with pytest.raises(ServeError, match="expected"):
-            AttachedBlock(bad)
-
-    def test_unknown_region_dtype_is_typed(self):
-        bad = BlockRef(name=None, batch=1, n=2, payload=b"\x00" * 16, dtype_x="float16")
-        with pytest.raises(ServeError, match="unknown block dtype"):
             AttachedBlock(bad)
 
     def test_old_descriptor_defaults_to_float64(self):
         stacked = np.stack([np.ones((2, 4)), np.zeros((2, 4))])
         ref = BlockRef(name=None, batch=2, n=4, payload=stacked.tobytes())
-        assert ref.dtype_x == "float64" and ref.dtype_ref == "float64"
         x, reference = AttachedBlock(ref).row(0)
         assert np.array_equal(x, np.ones(4)) and np.array_equal(reference, np.zeros(4))
 
 
-class TestNetServingPrecisionTiers:
-    def test_f32_tier_round_trips_over_real_sockets(self):
-        from repro.core.backend import F32_TOLERANCE
-
-        requests = _requests(n=8, unique=2, sizes=(12,), seed=2)
-        f64_config = _server_config(workers=2)
-        f32_service = ServiceConfig(workers=2, max_batch_size=8, backend="numpy-f32")
-        reference, _ = run_sequential(requests, f64_config.service)
-        with NetServer(NetServerConfig(service=f32_service)) as server:
+class TestNetServingDtypes:
+    def test_non_float64_request_gets_typed_error_frame(self):
+        request = _requests(n=1, unique=1, sizes=(12,), seed=5)[0]
+        reference, _ = run_sequential([request], ServiceConfig(workers=1))
+        with NetServer(_server_config(workers=1)) as server:
             host, port = server.address
-            with NetClient(host, port) as client:
-                results = client.solve_all(requests, timeout=120.0)
-        for res, ref in zip(results, reference):
-            assert res.x.dtype == np.float32  # survived TCP at its tier
-            assert res.reference.dtype == np.float64
-            assert np.array_equal(res.reference, ref.reference)
-            assert F32_TOLERANCE.admits(res.x, ref.x)
+            sock = socket.create_connection((host, port), timeout=30.0)
+            try:
+                header = {
+                    "type": "solve", "id": 1, "n": 12, "solver": request.solver,
+                    "prep_seed": request.prep_seed, "seed": request.seed,
+                }
+                blobs = [array_to_bytes(request.b), array_to_bytes(request.matrix)]
+                sock.sendall(encode_frame({**header, "dtypes": ["float32"]}, blobs))
+                response, _ = recv_frame(sock)
+                assert response["type"] == "error" and response["id"] == 1
+                error = error_from_wire(response["error"])
+                assert isinstance(error, WireProtocolError)
+                assert "float64 only" in str(error)
+                # the connection survived; an all-float64 list still decodes
+                sock.sendall(
+                    encode_frame(
+                        {**header, "id": 2, "dtypes": ["float64", "float64"]}, blobs
+                    )
+                )
+                response, result_blobs = recv_frame(sock)
+                assert response["type"] == "result" and response["id"] == 2
+                assert "dtypes" not in response
+                x = array_from_bytes(result_blobs[0], (12,))
+                assert np.array_equal(x, reference[0].x)
+            finally:
+                sock.close()
 
-    def test_f64_tier_unchanged_headers_carry_dtypes(self):
-        # the default tier still answers float64, now with explicit
-        # dtype names in the result header
+    def test_f64_results_round_trip_over_real_sockets(self):
         requests = _requests(n=4, unique=1, sizes=(12,), seed=5)
         reference, _ = run_sequential(requests, ServiceConfig(workers=1))
         with NetServer(_server_config(workers=1)) as server:

@@ -87,9 +87,9 @@ class _Counts:
         self.linalg: list[str] = []
         real_solvers = common.lapack_solvers
 
-        def counting_solvers(dtype):
+        def counting_solvers():
             self.factorizations += 1
-            getrf, getrs = real_solvers(dtype)
+            getrf, getrs = real_solvers()
 
             def counting_getrf(*args, **kwargs):
                 self.getrf += 1

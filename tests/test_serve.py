@@ -70,6 +70,23 @@ class TestMatrixDigest:
         flat = np.zeros((4, 4))
         assert matrix_digest(flat) != matrix_digest(np.zeros((2, 8)))
 
+    def test_digest_recipe_pinned(self):
+        # SHA-256 of b"float64", the shape and the bytes: net clients
+        # compute this digest on their side, so it must never move.
+        assert matrix_digest(np.arange(6.0).reshape(2, 3)) == (
+            "d0670540ef36a8c3a0e614268c98a3dec5eba009361fa99e813af09fd1a267b0"
+        )
+
+    def test_digest_canonicalizes_exotic_dtypes_to_f64(self):
+        ints = np.eye(4, dtype=np.int64)
+        assert matrix_digest(ints) == matrix_digest(np.eye(4))
+        m32 = wishart_matrix(8, rng=0).astype(np.float32)
+        assert matrix_digest(m32) == matrix_digest(m32.astype(np.float64))
+
+    def test_digest_stable_across_layout(self):
+        m = np.asfortranarray(wishart_matrix(8, rng=1))
+        assert matrix_digest(m) == matrix_digest(np.ascontiguousarray(m))
+
 
 class TestSolveRequest:
     def test_digest_computed(self):
@@ -86,6 +103,17 @@ class TestSolveRequest:
     def test_bad_shapes_rejected(self):
         with pytest.raises(ValidationError):
             SolveRequest(matrix=wishart_matrix(8, rng=0), b=np.ones(9))
+
+    def test_request_coerces_to_float64(self):
+        m = wishart_matrix(8, rng=0).astype(np.float32)
+        request = SolveRequest(matrix=m, b=random_vector(8, rng=1).astype(np.float32))
+        assert request.matrix.dtype == np.float64 and request.b.dtype == np.float64
+        assert request.digest == matrix_digest(m.astype(np.float64))
+
+    def test_complex_system_rejected(self):
+        m = wishart_matrix(4, rng=0)
+        with pytest.raises(ValidationError, match="embed_complex_system"):
+            SolveRequest(matrix=m + 1j * np.eye(4), b=np.ones(4))
 
 
 class TestMicroBatcher:
@@ -715,99 +743,3 @@ class TestMultiStageCoalescing:
             mixed_traffic(4, solvers=("warp-drive",))
         with pytest.raises(ValidationError):
             mixed_traffic(4, solvers=())
-
-
-# ----------------------------------------------------------------------
-# precision tiers: digest dtype, cache identity, service backend knob
-# ----------------------------------------------------------------------
-
-
-class TestPrecisionTierCacheIdentity:
-    """Regression: the cache layers must distinguish precision tiers.
-
-    The float64-monomorphic digest hashed every matrix's bytes *after*
-    an unconditional float64 upcast, so a float32 matrix and its float64
-    upcast collided — a float32-tier entry could poison the cache for a
-    float64 client of the numerically identical matrix (and vice versa).
-    """
-
-    def test_f32_matrix_and_f64_upcast_digest_differently(self):
-        m32 = wishart_matrix(8, rng=0).astype(np.float32)
-        m64 = m32.astype(np.float64)
-        assert np.array_equal(m32, m64)  # numerically identical...
-        assert matrix_digest(m32) != matrix_digest(m64)  # ...distinct identity
-
-    def test_digest_canonicalizes_exotic_dtypes_to_f64(self):
-        ints = np.eye(4, dtype=np.int64)
-        assert matrix_digest(ints) == matrix_digest(np.eye(4))
-
-    def test_f32_digest_stable_across_layout(self):
-        m = np.asfortranarray(wishart_matrix(8, rng=1).astype(np.float32))
-        assert matrix_digest(m) == matrix_digest(np.ascontiguousarray(m))
-
-    def test_request_preserves_f32_matrix(self):
-        m = wishart_matrix(8, rng=0).astype(np.float32)
-        request = SolveRequest(matrix=m, b=random_vector(8, rng=1))
-        assert request.matrix.dtype == np.float32
-        assert request.digest == matrix_digest(m)
-
-    def test_prepared_key_backend_field_distinguishes_tiers(self):
-        from repro.serve.service import resolve_request
-
-        m = wishart_matrix(8, rng=0)
-        request = SolveRequest(matrix=m, b=random_vector(8, rng=1))
-        key64, hw64 = resolve_request(request, ServiceConfig(workers=1))
-        key32, hw32 = resolve_request(
-            request, ServiceConfig(workers=1, backend="numpy-f32")
-        )
-        assert key64.backend == "numpy"
-        assert key32.backend == "numpy-f32"
-        assert key64 != key32
-        assert hw64.backend == "numpy" and hw32.backend == "numpy-f32"
-        # the hardware cache key alone already separates the tiers
-        assert key64.config_key != key32.config_key
-
-    def test_prepared_key_backend_defaults_for_old_call_sites(self):
-        key = PreparedKey("digest", "config", "blockamc-1stage", 0)
-        assert key.backend == "numpy"
-
-
-class TestServiceBackendKnob:
-    def test_unknown_backend_fails_fast(self):
-        from repro.errors import BackendError
-
-        with pytest.raises(BackendError, match="unknown array backend"):
-            ServiceConfig(workers=1, backend="warp-drive")
-
-    def test_backend_rewrites_default_hardware(self):
-        config = ServiceConfig(workers=1, backend="numpy-f32")
-        assert config.default_hardware.backend == "numpy-f32"
-        assert ServiceConfig(workers=1).default_hardware.backend == "numpy"
-
-    def test_f32_service_results_typed_and_within_contract(self):
-        from repro.core.backend import F32_TOLERANCE
-
-        requests = _requests(n=6, unique=2, sizes=(8, 12), seed=3)
-        reference, _ = run_sequential(requests, ServiceConfig(workers=1))
-        f32_results, _ = run_sequential(
-            requests, ServiceConfig(workers=1, backend="numpy-f32")
-        )
-        for ref, f32 in zip(reference, f32_results):
-            assert ref.x.dtype == np.float64
-            assert f32.x.dtype == np.float32
-            assert F32_TOLERANCE.admits(f32.x, ref.x)
-            # digital references are tier-independent, bit for bit
-            assert f32.reference.dtype == np.float64
-            assert np.array_equal(f32.reference, ref.reference)
-
-    def test_tiers_do_not_share_cache_entries(self):
-        m = wishart_matrix(12, rng=0)
-        b = random_vector(12, rng=1)
-        with SolverService(ServiceConfig(workers=1)) as s64:
-            r64 = s64.solve_all([SolveRequest(matrix=m, b=b)])[0]
-            stats64 = s64.metrics().cache
-        with SolverService(ServiceConfig(workers=1, backend="numpy-f32")) as s32:
-            r32 = s32.solve_all([SolveRequest(matrix=m, b=b)])[0]
-        assert r64.x.dtype == np.float64
-        assert r32.x.dtype == np.float32
-        assert stats64.misses >= 1

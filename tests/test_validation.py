@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.errors import ValidationError
 from repro.utils.validation import (
@@ -84,6 +85,73 @@ class TestCheckVector:
     def test_rejects_nan(self):
         with pytest.raises(ValidationError, match="non-finite"):
             check_vector([np.nan])
+
+
+class TestNonRealInput:
+    """Complex, ragged and non-numeric input is refused with
+    :class:`ValidationError`: never truncated to its real part, never a
+    bare ``ValueError``/``TypeError``."""
+
+    @pytest.mark.parametrize(
+        "check, value",
+        [
+            (check_vector, np.array([1 + 2j, 3])),
+            (check_vector, np.array([1.0, 2.0], dtype=complex)),
+            (check_matrix, np.eye(2) * (1 + 1j)),
+            (check_square_matrix, [[1j, 0], [0, 1]]),
+        ],
+    )
+    def test_complex_rejected_with_embedding_hint(self, check, value):
+        with pytest.raises(ValidationError, match="embed_complex_system"):
+            check(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [["a"], ["1.5"], [b"x"], [object()], [None], [1, None], [10**400], [[1, 2], [3]]],
+    )
+    def test_non_numeric_or_ragged_rejected(self, value):
+        with pytest.raises(ValidationError, match="vector"):
+            check_vector(value, "vector")
+
+    def test_ragged_matrix_rejected(self):
+        with pytest.raises(ValidationError, match="regular numeric array"):
+            check_matrix([[1, 2], [3]])
+
+    def test_real_object_array_accepted(self):
+        from fractions import Fraction
+
+        out = check_vector(np.array([1, 2.5, Fraction(1, 4)], dtype=object))
+        assert out.dtype == np.float64
+        assert out.tolist() == [1.0, 2.5, 0.25]
+
+    @given(
+        value=st.recursive(
+            st.none()
+            | st.booleans()
+            | st.integers()
+            | st.floats()
+            | st.complex_numbers()
+            | st.text(max_size=3)
+            | st.binary(max_size=3),
+            lambda inner: st.lists(inner, max_size=4),
+            max_leaves=12,
+        )
+        | hnp.arrays(
+            st.sampled_from(
+                [np.float64, np.float32, np.int64, np.bool_, np.complex128, "U2"]
+            ),
+            hnp.array_shapes(min_dims=0, max_dims=3, max_side=3),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_only_validation_error_escapes(self, value):
+        for check in (check_vector, check_matrix):
+            try:
+                out = check(value)
+            except ValidationError:
+                continue
+            assert out.dtype == np.float64
+            assert np.all(np.isfinite(out))
 
 
 class TestCheckPositive:
